@@ -1,13 +1,13 @@
 """Wall-clock event-loop profiler: where does the serving hot path spend time?
 
-ROADMAP item 1 wants the event loop rewritten for ~1e6+ events/sec; this
-module produces the data that justifies (and later validates) that rewrite.
-A :class:`LoopProfiler` measures the *wall-clock* cost of the discrete-event
-machinery itself:
+A :class:`LoopProfiler` measures the *wall-clock* cost of the
+discrete-event machinery itself:
 
 * per-event-kind handler timing -- one fixed-log-bucket histogram per
-  payload type (``ArrivalEvent``, ``CompletionEvent``, ...), so the profile
-  says which handler dominates;
+  payload type (``CompletionEvent``, ``DeadlineEvent``, ...; arrivals,
+  which are merged in from a sorted stream rather than queued, are
+  recorded as ``ArrivalEvent``), so the profile says which handler
+  dominates;
 * whole-loop throughput -- events processed per wall second between
   :meth:`LoopProfiler.start` and :meth:`LoopProfiler.stop`;
 * :class:`~repro.serve.clock.EventQueue` push/pop costs, captured by

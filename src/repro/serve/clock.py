@@ -7,9 +7,12 @@ traces -- so the ordering is fully specified:
 
 1. earlier ``time_s`` first;
 2. at equal times, lower ``priority`` first (completions free their worker
-   before a same-instant arrival or deadline looks for one);
+   before a same-instant deadline looks for one);
 3. at equal time and priority, insertion order (a monotonically increasing
    sequence number assigned by :meth:`EventQueue.push`).
+
+Request arrivals do not pass through the queue: the runtime merges them in
+from a time-sorted stream, after every queued event of the same instant.
 
 No wall-clock time, thread, or other nondeterministic source is involved
 anywhere in the loop.
@@ -29,11 +32,11 @@ from typing import Any
 #: always observe the post-fault fleet state.  Retry re-admissions land
 #: between faults and deadlines: a request re-queued at ``t`` is already
 #: back in its queue when the deadline/arrival arbitration at ``t`` runs.
+#: Arrivals, merged in by the runtime, come after all of these.
 COMPLETION_PRIORITY = 0
 FAULT_PRIORITY = 1
 RETRY_PRIORITY = 2
 DEADLINE_PRIORITY = 3
-ARRIVAL_PRIORITY = 4
 
 
 class SimulationClock:

@@ -1,6 +1,7 @@
 """Event and record types of the serving runtime.
 
-The discrete-event loop schedules request arrivals, batch deadlines, batch
+The discrete-event loop merges request arrivals (a time-sorted stream of
+:class:`Request` records) with scheduled batch deadlines, batch
 completions, and -- when a :class:`~repro.serve.faults.FaultInjector` is
 attached -- worker lifecycle transitions (crash/repair, thermal throttle,
 permanent drain) and retry re-admissions.  It produces two durable records:
@@ -65,6 +66,10 @@ class TraceEvent(tuple):
             raise ValueError(f"unknown trace-event kind {kind!r}")
         return super().__new__(cls, (float(time_s), kind, *ids))
 
+    def __getnewargs__(self) -> tuple:
+        # Pickle through __new__'s signature, so reports cross process pools.
+        return tuple(self)
+
     @property
     def time_s(self) -> float:
         """Simulated time of the transition."""
@@ -127,13 +132,6 @@ class Batch:
     def completion_s(self) -> float:
         """Simulated time at which the batch's results are available."""
         return self.dispatch_s + self.latency_s
-
-
-@dataclass(frozen=True)
-class ArrivalEvent:
-    """A request reaches the admission queue."""
-
-    request: Request
 
 
 @dataclass(frozen=True)

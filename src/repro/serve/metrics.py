@@ -23,7 +23,9 @@ producing quietly-wrong SLO numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -62,6 +64,105 @@ class RequestRecord:
         return self.dispatch_s - self.arrival_s
 
 
+class RequestLog(Sequence):
+    """Completed requests as columns: a read-only sequence of :class:`RequestRecord`.
+
+    One numpy column per :class:`RequestRecord` field (``model`` stored as
+    an index into :attr:`models`), built once per run from the completed
+    batches.  Indexing and iteration build records on demand, so a run
+    creates no per-request record object unless a reader asks for one.
+    Equality, hashing and pickling work on the columns.
+    """
+
+    __slots__ = ("models", "_columns")
+
+    #: Column names, in :class:`RequestRecord` field order.
+    _FIELDS = tuple(f.name for f in fields(RequestRecord))
+
+    def __init__(self, models: tuple[str, ...], columns: dict[str, np.ndarray]) -> None:
+        self.models = models
+        self._columns = columns
+        for column in columns.values():
+            column.flags.writeable = False
+        order = (self.arrival_s <= self.dispatch_s) & (self.dispatch_s <= self.completion_s)
+        if not order.all():
+            # Building the first offending record raises its ordering error.
+            self[int(np.argmin(order))]
+
+    @classmethod
+    def from_batches(cls, batches: Sequence[Batch]) -> "RequestLog":
+        """The requests of ``batches``, in batch order then in-batch order."""
+        models = tuple(dict.fromkeys(batch.model for batch in batches))
+        code = {model: index for index, model in enumerate(models)}
+        sizes = np.fromiter((batch.size for batch in batches), np.int64, len(batches))
+
+        def per_batch(values, dtype) -> np.ndarray:
+            return np.repeat(np.fromiter(values, dtype, len(batches)), sizes)
+
+        requests = [request for batch in batches for request in batch.requests]
+        return cls(models, {
+            "request_id": np.fromiter(
+                map(attrgetter("request_id"), requests), np.int64, len(requests)
+            ),
+            "model": per_batch((code[batch.model] for batch in batches), np.int64),
+            "arrival_s": np.fromiter(
+                map(attrgetter("arrival_s"), requests), np.float64, len(requests)
+            ),
+            "dispatch_s": per_batch(map(attrgetter("dispatch_s"), batches), np.float64),
+            "completion_s": per_batch(map(attrgetter("completion_s"), batches), np.float64),
+            "batch_id": per_batch(map(attrgetter("batch_id"), batches), np.int64),
+            "worker_id": per_batch(map(attrgetter("worker_id"), batches), np.int64),
+            "batch_size": np.repeat(sizes, sizes),
+        })
+
+    @property
+    def arrival_s(self) -> np.ndarray:
+        """Arrival times, one per completed request."""
+        return self._columns["arrival_s"]
+
+    @property
+    def dispatch_s(self) -> np.ndarray:
+        """Dispatch times of each request's batch."""
+        return self._columns["dispatch_s"]
+
+    @property
+    def completion_s(self) -> np.ndarray:
+        """Completion times of each request's batch."""
+        return self._columns["completion_s"]
+
+    def __len__(self) -> int:
+        return len(self._columns["request_id"])
+
+    def _record(self, request_id: int, model: int, *rest) -> RequestRecord:
+        return RequestRecord(request_id, self.models[model], *rest)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        return self._record(*(self._columns[name][index].item() for name in self._FIELDS))
+
+    def __iter__(self):
+        columns = [self._columns[name].tolist() for name in self._FIELDS]
+        for row in zip(*columns):
+            yield self._record(*row)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RequestLog):
+            return NotImplemented
+        return self.models == other.models and all(
+            np.array_equal(self._columns[name], other._columns[name]) for name in self._FIELDS
+        )
+
+    def __reduce__(self):
+        return type(self), (self.models, dict(self._columns))
+
+    def __hash__(self) -> int:
+        return hash((self.models, *(self._columns[name].tobytes() for name in self._FIELDS)))
+
+    def __repr__(self) -> str:
+        return f"RequestLog({len(self)} requests, models={self.models})"
+
+
 @dataclass(frozen=True)
 class FailureRecord:
     """One request that exhausted its retry budget (terminal ``failed``)."""
@@ -98,7 +199,7 @@ class ServingReport:
     n_shed: int
     n_queued_end: int
     n_in_flight_end: int
-    requests: tuple[RequestRecord, ...]
+    requests: RequestLog
     batches: tuple[Batch, ...]
     worker_busy_s: tuple[float, ...]
     peak_queue_depth: int
@@ -114,7 +215,7 @@ class ServingReport:
     n_retried_completions: int = 0
     wasted_busy_s: float = 0.0
     wasted_energy_j: float = 0.0
-    # --- event-loop throughput (ROADMAP item 1's hot-path baseline) ---
+    # --- event-loop throughput ---
     #: Events the loop processed; deterministic, so it participates in
     #: report equality like any other simulated quantity.
     events_processed: int = 0
@@ -163,7 +264,7 @@ class ServingReport:
     @property
     def latencies_s(self) -> np.ndarray:
         """Per-completed-request end-to-end latencies, in completion order."""
-        return np.asarray([record.latency_s for record in self.requests])
+        return self.requests.completion_s - self.requests.arrival_s
 
     def latency_percentile_s(self, percentile: float) -> float:
         """Latency percentile over completed requests (NaN when none)."""
@@ -286,9 +387,8 @@ class ServingReport:
     def events_per_sec(self) -> float:
         """Wall-clock event-loop throughput: events processed per wall second.
 
-        The baseline number for the coming hot-path rewrite (ROADMAP
-        item 1).  Machine-dependent by nature; 0.0 when wall time was too
-        short to resolve.
+        Machine-dependent by nature; 0.0 when wall time was too short to
+        resolve.
         """
         if self.wall_time_s <= 0:
             return 0.0
@@ -341,7 +441,6 @@ class MetricsCollector:
         self.n_retried_completions = 0
         self.wasted_busy_s = 0.0
         self.wasted_energy_j = 0.0
-        self._requests: list[RequestRecord] = []
         self._batches: list[Batch] = []
         self._failures: list[FailureRecord] = []
 
@@ -383,7 +482,7 @@ class MetricsCollector:
         self.wasted_energy_j += wasted_energy_j
 
     def record_batch(self, batch: Batch, n_retried: int = 0) -> None:
-        """Record a completed batch and its requests' lifecycle records.
+        """Record a completed batch (its requests' records derive from it).
 
         ``n_retried`` counts how many of the batch's requests had previously
         lost a batch to a crash -- they complete normally but are excluded
@@ -391,19 +490,6 @@ class MetricsCollector:
         """
         self._batches.append(batch)
         self.n_retried_completions += n_retried
-        for request in batch.requests:
-            self._requests.append(
-                RequestRecord(
-                    request_id=request.request_id,
-                    model=request.model,
-                    arrival_s=request.arrival_s,
-                    dispatch_s=batch.dispatch_s,
-                    completion_s=batch.completion_s,
-                    batch_id=batch.batch_id,
-                    worker_id=batch.worker_id,
-                    batch_size=batch.size,
-                )
-            )
 
     def finalize(
         self,
@@ -432,6 +518,9 @@ class MetricsCollector:
 
         Raises
         ------
+        ValueError
+            If a completed request was dispatched before its arrival or
+            completed before its dispatch.
         RuntimeError
             If the conservation invariant ``arrivals == completed + shed +
             failed + queued + in_flight`` does not hold -- an event-loop
@@ -450,7 +539,7 @@ class MetricsCollector:
             n_shed=self.n_shed,
             n_queued_end=n_queued_end,
             n_in_flight_end=n_in_flight_end,
-            requests=tuple(self._requests),
+            requests=RequestLog.from_batches(self._batches),
             batches=tuple(self._batches),
             worker_busy_s=worker_busy_s,
             peak_queue_depth=peak_queue_depth,

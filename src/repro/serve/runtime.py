@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Mapping
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -44,7 +45,6 @@ from repro.arch.accelerator import PhotonicAccelerator
 from repro.nn.model import Sequential, SiameseModel
 from repro.serve.batcher import BatchPolicy, MicroBatcher
 from repro.serve.clock import (
-    ARRIVAL_PRIORITY,
     COMPLETION_PRIORITY,
     DEADLINE_PRIORITY,
     RETRY_PRIORITY,
@@ -52,7 +52,6 @@ from repro.serve.clock import (
     SimulationClock,
 )
 from repro.serve.events import (
-    ArrivalEvent,
     Batch,
     CompletionEvent,
     DeadlineEvent,
@@ -96,24 +95,22 @@ def requests_from_traffic(
     process itself, so it raises immediately with the process named, rather
     than surfacing later as an obscure event-loop error.
     """
-    times = traffic.arrival_times(np.random.default_rng(seed))
-    requests = []
-    for offset, time in enumerate(times):
-        time = float(time)
-        if time >= traffic.duration_s:
-            raise ValueError(
-                f"traffic process {traffic.describe()} produced an arrival "
-                f"at {time}s, at or beyond its {traffic.duration_s}s window"
-            )
-        requests.append(
-            Request(
-                request_id=start_id + offset,
-                model=model,
-                arrival_s=time,
-                input_index=None if n_inputs is None else (start_id + offset) % n_inputs,
-            )
+    times = np.asarray(traffic.arrival_times(np.random.default_rng(seed)), dtype=float)
+    late = np.flatnonzero(times >= traffic.duration_s)
+    if late.size:
+        raise ValueError(
+            f"traffic process {traffic.describe()} produced an arrival "
+            f"at {float(times[late[0]])}s, at or beyond its {traffic.duration_s}s window"
         )
-    return requests
+    return [
+        Request(
+            request_id=request_id,
+            model=model,
+            arrival_s=time,
+            input_index=None if n_inputs is None else request_id % n_inputs,
+        )
+        for request_id, time in enumerate(times.tolist(), start_id)
+    ]
 
 
 class ServingRuntime:
@@ -232,6 +229,11 @@ class ServingRuntime:
         completion); ``drain=False`` cuts the run at ``duration_s``,
         leaving late work counted as queued/in-flight backlog -- the
         saturation-detection mode.
+
+        Arrivals never enter the event queue.  They are read from a
+        stably time-sorted stream and merged with the queue: at equal
+        times every queued event (completion, fault, retry, deadline) runs
+        before an arrival, and arrivals keep their ``requests`` order.
         """
         if duration_s <= 0:
             raise ValueError(f"duration_s must be positive, got {duration_s}")
@@ -260,7 +262,9 @@ class ServingRuntime:
         for request in requests:
             if request.model not in self._batchers:
                 raise KeyError(f"no workloads registered for model {request.model!r}")
-            queue.push(request.arrival_s, ARRIVAL_PRIORITY, ArrivalEvent(request))
+        arrivals = sorted(requests, key=attrgetter("arrival_s"))
+        n_arrivals = len(arrivals)
+        next_arrival = 0
         if self._faults_active:
             self.injector.schedule(queue, len(self.pool), duration_s)
 
@@ -268,9 +272,25 @@ class ServingRuntime:
         if profiler is not None:
             profiler.start()
         wall_ns0 = time.perf_counter_ns()
-        while queue:
-            next_time = queue.peek_time_s()
-            if not drain and next_time > duration_s:
+        while True:
+            head_s = queue.peek_time_s()
+            if next_arrival < n_arrivals and (
+                head_s is None or arrivals[next_arrival].arrival_s < head_s
+            ):
+                request = arrivals[next_arrival]
+                if not drain and request.arrival_s > duration_s:
+                    break
+                next_arrival += 1
+                clock.advance_to(request.arrival_s)
+                events_processed += 1
+                if profiler is None:
+                    self._handle_arrival(request, clock, queue, metrics, trace)
+                else:
+                    t0 = time.perf_counter_ns()
+                    self._handle_arrival(request, clock, queue, metrics, trace)
+                    profiler.record("ArrivalEvent", time.perf_counter_ns() - t0)
+                continue
+            if head_s is None or (not drain and head_s > duration_s):
                 break
             time_s, _, _, payload = queue.pop()
             clock.advance_to(time_s)
@@ -453,10 +473,8 @@ class ServingRuntime:
     # Handlers
     # ------------------------------------------------------------------ #
     def _process_event(self, payload, clock, queue, metrics, trace, outputs) -> None:
-        """Dispatch one popped event to its handler (the loop body)."""
-        if isinstance(payload, ArrivalEvent):
-            self._handle_arrival(payload.request, clock, queue, metrics, trace)
-        elif isinstance(payload, DeadlineEvent):
+        """Dispatch one popped queue event to its handler."""
+        if isinstance(payload, DeadlineEvent):
             self._handle_deadline(payload, clock, queue, metrics, trace, outputs)
         elif isinstance(payload, CompletionEvent):
             self._handle_completion(
@@ -503,7 +521,11 @@ class ServingRuntime:
                 DEADLINE_PRIORITY,
                 DeadlineEvent(request.model, request.request_id),
             )
-        self._dispatch_ready(clock, queue, trace)
+        # Every other handler leaves no dispatchable batch beside an idle
+        # worker, and arrivals run last at their instant, so only this
+        # batcher can have become dispatchable.
+        if batcher.dispatchable(clock.now_s):
+            self._dispatch_ready(clock, queue, trace)
 
     def _handle_deadline(self, event, clock, queue, metrics, trace, outputs) -> None:
         # Advisory wake-up: the armed head may already have dispatched in a

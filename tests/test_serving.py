@@ -16,6 +16,9 @@ subsystem guarantees:
 
 from __future__ import annotations
 
+import hashlib
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,16 +32,23 @@ from repro.serve import (
     BatchPolicy,
     BurstyTraffic,
     DiurnalTraffic,
+    Batch,
     EventQueue,
+    FaultInjector,
+    FaultModel,
+    MetricsCollector,
     MicroBatcher,
     PoissonTraffic,
     Request,
+    RequestRecord,
+    RetryPolicy,
     ServingRuntime,
     SimulationClock,
     TraceTraffic,
     requests_from_traffic,
     serve_trace,
 )
+from repro.serve.traffic import _poisson_arrivals, _poisson_block_arrivals
 from repro.sim.simulator import simulate_models
 from repro.sim.tracer import trace_model
 
@@ -90,22 +100,22 @@ class TestEventCore:
 # --------------------------------------------------------------------------- #
 # Traffic generators
 # --------------------------------------------------------------------------- #
+_BURSTY = BurstyTraffic(
+    base_rate_rps=2_000.0,
+    burst_rate_rps=20_000.0,
+    duration_s=0.2,
+    mean_base_dwell_s=0.02,
+    mean_burst_dwell_s=0.005,
+)
+_DIURNAL = DiurnalTraffic(
+    mean_rate_rps=5_000.0, duration_s=0.2, period_s=0.1, amplitude=0.8
+)
+
+
 class TestTraffic:
     @pytest.mark.parametrize(
         "traffic",
-        [
-            PoissonTraffic(rate_rps=5_000.0, duration_s=0.2),
-            BurstyTraffic(
-                base_rate_rps=2_000.0,
-                burst_rate_rps=20_000.0,
-                duration_s=0.2,
-                mean_base_dwell_s=0.02,
-                mean_burst_dwell_s=0.005,
-            ),
-            DiurnalTraffic(
-                mean_rate_rps=5_000.0, duration_s=0.2, period_s=0.1, amplitude=0.8
-            ),
-        ],
+        [PoissonTraffic(rate_rps=5_000.0, duration_s=0.2), _BURSTY, _DIURNAL],
         ids=["poisson", "bursty", "diurnal"],
     )
     def test_seeded_sorted_and_in_window(self, traffic):
@@ -135,6 +145,46 @@ class TestTraffic:
         trace = TraceTraffic([0.0, 0.5, 0.5, 1.0])
         assert np.array_equal(trace.generate(0), trace.generate(99))
         assert trace.duration_s > 1.0
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        rate=st.floats(min_value=0.5, max_value=20_000.0),
+        duration=st.floats(min_value=1e-4, max_value=0.5),
+        block=st.sampled_from([1, 2, 3, 7, 64]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_poisson_block_draw_matches_scalar_loop(self, seed, rate, duration, block):
+        want = np.asarray(
+            _poisson_arrivals(np.random.default_rng(seed), rate, 0.0, duration)
+        )
+        # Small blocks make most runs cross one or more block boundaries.
+        got = _poisson_block_arrivals(np.random.default_rng(seed), rate, duration, block)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        times = PoissonTraffic(rate, duration).arrival_times(np.random.default_rng(seed))
+        assert times.dtype == want.dtype and times.tobytes() == want.tobytes()
+
+    def test_poisson_window_shorter_than_first_gap_is_empty(self):
+        traffic = PoissonTraffic(rate_rps=1.0, duration_s=1e-6)
+        want = np.asarray(_poisson_arrivals(np.random.default_rng(0), 1.0, 0.0, 1e-6))
+        times = traffic.generate(seed=0)
+        assert want.size == 0 and times.size == 0
+        assert times.dtype == want.dtype
+        assert requests_from_traffic(traffic, "m", seed=0) == []
+
+    @pytest.mark.parametrize(
+        "traffic, seed, digest",
+        [
+            (_BURSTY, 0, "6d08354d638d41ad35ca6e570d5ed739f06f4bd75f00f7d7809e3bb6133eb998"),
+            (_BURSTY, 7919, "41589f9980dcc75bdc486c17078a3ff3e82e9b7a5e2581711f385d64b1d017fb"),
+            (_DIURNAL, 0, "d30be160fd028f834c366386c8b5773688a0ed89a671a1782b74c36c46b5840a"),
+            (_DIURNAL, 7919, "0c8c338a20ddb5046a8edd76ca90730d95512be71b21b69757f91fb7b9b590ae"),
+        ],
+        ids=["bursty-0", "bursty-7919", "diurnal-0", "diurnal-7919"],
+    )
+    def test_modulated_arrivals_are_pinned(self, traffic, seed, digest):
+        # Bursty and diurnal traffic interleave draws with the Poisson gaps,
+        # so they keep the scalar loop; their streams must not move.
+        assert hashlib.sha256(traffic.generate(seed).tobytes()).hexdigest() == digest
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -453,6 +503,12 @@ class TestServeTrace:
         with pytest.raises(RuntimeError):
             runtime.run(requests, traffic.duration_s)
 
+    def test_unknown_model_rejected(self, crosslight, lenet_workloads):
+        runtime = ServingRuntime({"lenet5": lenet_workloads}, crosslight, BatchPolicy())
+        requests = [_request(0, 0.0, "lenet5"), _request(1, 1e-6, "vgg")]
+        with pytest.raises(KeyError, match="vgg"):
+            runtime.run(requests, 1e-3)
+
 
 class TestMultiModel:
     def test_per_model_queues_never_mix_batches(self, crosslight):
@@ -482,6 +538,201 @@ class TestMultiModel:
         assert served == set(report.models)
         for batch in report.batches:
             assert {request.model for request in batch.requests} == {batch.model}
+
+
+# --------------------------------------------------------------------------- #
+# Hot-path invariants: the arrival dispatch guard and the column request log
+# --------------------------------------------------------------------------- #
+class _InvariantRuntime(ServingRuntime):
+    """Asserts the invariant the arrival handler's dispatch guard relies on.
+
+    Whenever simulated time is about to advance (no queued event is left at
+    the current instant) and around every arrival, no batcher may be
+    dispatchable while a worker is idle.  Mid-instant the pair can exist
+    briefly: a same-instant deadline event still queued resolves it.
+    """
+
+    checks = 0
+
+    def _check(self, now_s: float) -> None:
+        self.checks += 1
+        worker = self.pool.idle_worker(now_s)
+        ready = [b.model for b in self._batchers.values() if b.dispatchable(now_s)]
+        assert worker is None or not ready, (now_s, worker.worker_id, ready)
+
+    def _handle_arrival(self, request, clock, queue, metrics, trace) -> None:
+        self._check(clock.now_s)
+        super()._handle_arrival(request, clock, queue, metrics, trace)
+        self._check(clock.now_s)
+
+    def _process_event(self, payload, clock, queue, metrics, trace, outputs) -> None:
+        super()._process_event(payload, clock, queue, metrics, trace, outputs)
+        if not queue or queue.peek_time_s() > clock.now_s:
+            self._check(clock.now_s)
+
+
+def _models_and_requests(spec):
+    """``spec``: ``(model index, traffic, seed)`` triples -> workloads, requests."""
+    models = {index: build_model(index) for index, _, _ in spec}
+    requests = []
+    for index, traffic, seed in spec:
+        requests += requests_from_traffic(
+            traffic, models[index].name, seed, start_id=len(requests)
+        )
+    return {m.name: trace_model(m) for m in models.values()}, requests
+
+
+def _checked_run(crosslight, spec, policy, *, n_workers=2, faults=None, retry=None,
+                 drain=True):
+    """Run plain and invariant-checking runtimes; returns (report, checks made)."""
+    workloads, requests = _models_and_requests(spec)
+    duration_s = max(traffic.duration_s for _, traffic, _ in spec)
+    runtimes = [
+        cls(workloads, crosslight, policy, n_workers=n_workers, faults=faults, retry=retry)
+        for cls in (ServingRuntime, _InvariantRuntime)
+    ]
+    plain, checked = (runtime.run(requests, duration_s, drain=drain) for runtime in runtimes)
+    assert plain == checked and plain.event_trace == checked.event_trace
+    return plain, runtimes[1].checks
+
+
+_CRASHY = FaultModel(
+    crash_mtbf_s=0.001, repair_mttr_s=0.0005,
+    throttle_mtbf_s=0.001, throttle_duration_s=0.0005, throttle_derate=2.0,
+)
+
+
+class TestArrivalDispatchGuard:
+    @pytest.mark.parametrize(
+        "case",
+        ["multi_model", "faults", "faults_backoff", "shedding", "cutoff", "ties"],
+    )
+    def test_no_dispatchable_batch_beside_idle_worker(self, crosslight, case):
+        poisson = PoissonTraffic(rate_rps=300_000.0, duration_s=0.004)
+        spec = [(1, poisson, 0)]
+        kwargs = {}
+        depth = None
+        if case == "multi_model":
+            spec += [(2, PoissonTraffic(rate_rps=60_000.0, duration_s=0.004), 1)]
+        elif case == "faults":
+            kwargs = {"faults": FaultInjector(_CRASHY, seed=3),
+                      "retry": RetryPolicy(max_attempts=2)}
+        elif case == "faults_backoff":
+            spec += [(2, PoissonTraffic(rate_rps=60_000.0, duration_s=0.004), 1)]
+            kwargs = {"faults": FaultInjector(_CRASHY, seed=4),
+                      "retry": RetryPolicy(max_attempts=3, backoff_s=20e-6)}
+        elif case == "shedding":
+            spec = [(1, PoissonTraffic(rate_rps=3_000_000.0, duration_s=0.002), 0)]
+            depth = 16
+            kwargs = {"faults": FaultInjector(_CRASHY, seed=5)}
+        elif case == "cutoff":
+            spec = [(1, PoissonTraffic(rate_rps=3_000_000.0, duration_s=0.002), 0)]
+            kwargs = {"drain": False}
+        else:  # simultaneous arrivals landing on deadlines and completions
+            spec = [(1, TraceTraffic(np.repeat(np.arange(40) * 100e-6, 5)), 0)]
+        report, checks = _checked_run(
+            crosslight, spec,
+            BatchPolicy(max_batch_size=8, max_wait_s=100e-6, max_queue_depth=depth),
+            **kwargs,
+        )
+        assert report.conserved
+        assert checks > report.n_arrivals
+        if case.startswith("faults"):
+            assert report.n_lost_batches > 0
+        if case == "shedding":
+            assert report.n_shed > 0
+        if case == "cutoff":
+            assert report.backlog_end > 0
+
+    def test_unsorted_requests_are_served_in_stable_time_order(self, crosslight):
+        spec = [
+            (1, PoissonTraffic(rate_rps=100_000.0, duration_s=0.003), 0),
+            (2, PoissonTraffic(rate_rps=100_000.0, duration_s=0.003), 1),
+        ]
+        workloads, requests = _models_and_requests(spec)
+        policy = BatchPolicy(max_batch_size=4, max_wait_s=100e-6)
+        by_time = sorted(requests, key=lambda request: request.arrival_s)
+        reports = [
+            ServingRuntime(workloads, crosslight, policy, n_workers=2).run(order, 0.003)
+            for order in (requests, by_time)
+        ]
+        assert reports[0] == reports[1]
+
+
+def _records_from_batches(batches):
+    """The per-request records, built the way the collector once built them."""
+    return tuple(
+        RequestRecord(
+            request_id=request.request_id,
+            model=request.model,
+            arrival_s=request.arrival_s,
+            dispatch_s=batch.dispatch_s,
+            completion_s=batch.completion_s,
+            batch_id=batch.batch_id,
+            worker_id=batch.worker_id,
+            batch_size=batch.size,
+        )
+        for batch in batches
+        for request in batch.requests
+    )
+
+
+class TestRequestLog:
+    @pytest.fixture(scope="class")
+    def report(self, crosslight):
+        spec = [
+            (1, PoissonTraffic(rate_rps=200_000.0, duration_s=0.003), 0),
+            (2, PoissonTraffic(rate_rps=50_000.0, duration_s=0.003), 1),
+        ]
+        report, _ = _checked_run(
+            crosslight, spec, BatchPolicy(max_batch_size=4, max_wait_s=100e-6),
+            faults=FaultInjector(_CRASHY, seed=2), retry=RetryPolicy(max_attempts=3),
+        )
+        return report
+
+    def test_reads_as_the_record_tuple(self, report):
+        want = _records_from_batches(report.batches)
+        log = report.requests
+        assert len(want) > 100 and len(log) == len(want) == report.n_completed
+        assert tuple(log) == want
+        assert [log[i] for i in (0, 17, -1, -len(want))] == [
+            want[0], want[17], want[-1], want[-len(want)]
+        ]
+        assert log[3:40:7] == want[3:40:7]
+        assert want[5] in log and log.index(want[5]) == 5
+        assert all(type(record.arrival_s) is float for record in log[:3])
+        assert {record.model for record in log} == set(report.models)
+        latencies = np.asarray([record.latency_s for record in want])
+        assert report.latencies_s.tobytes() == latencies.tobytes()
+        with pytest.raises(IndexError):
+            log[len(want)]
+
+    def test_equality_hash_and_pickle_round_trip(self, report):
+        clone = pickle.loads(pickle.dumps(report))
+        assert clone == report and clone.requests == report.requests
+        assert hash(clone.requests) == hash(report.requests)
+        assert tuple(clone.requests) == tuple(report.requests)
+        assert clone.requests.arrival_s.flags.writeable is False
+        assert report.requests != _run(
+            build_model(1), CrossLightAccelerator.from_variant("cross_opt_ted")
+        ).requests
+
+    def test_dispatch_before_arrival_is_rejected(self):
+        collector = MetricsCollector()
+        collector.record_arrival(_request(0, 2.0))
+        collector.record_batch(
+            Batch(
+                batch_id=0, model="m", requests=(_request(0, 2.0),), dispatch_s=1.0,
+                worker_id=0, latency_s=0.5, energy_j=1.0, deadline_triggered=True,
+            )
+        )
+        with pytest.raises(ValueError, match="arrival <= dispatch <= completion"):
+            collector.finalize(
+                accelerator="a", models=("m",), traffic="t", policy="p", n_workers=1,
+                power_w=1.0, duration_s=3.0, horizon_s=3.0, n_queued_end=0,
+                n_in_flight_end=0, worker_busy_s=(0.5,), peak_queue_depth=1,
+                event_trace=(), outputs=None,
+            )
 
 
 class TestFunctionalServing:

@@ -528,3 +528,13 @@ class TestCompareEnvelope:
         path = tmp_path / "bench.json"
         path.write_text(json.dumps(payload))
         assert compare.load_means(path) == {"t::b": 0.5}
+
+
+def test_pyproject_version_is_repro_version():
+    """pyproject.toml reads its version from ``repro.__version__`` (one string)."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    config = tomllib.loads(pyproject.read_text())
+    assert "version" not in config["project"]
+    assert "version" in config["project"]["dynamic"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "repro.__version__"}
