@@ -29,7 +29,7 @@ The memoization caches of :mod:`repro.utils.cache` are surfaced this way
 function), making the registry the unified read surface for cache
 accounting without adding a single instruction to the cache hot path.
 
-This module imports only the standard library plus
+This module imports only the standard library, numpy, and
 :mod:`repro.utils.cache` (itself stdlib-only), so any layer may depend on
 it without import cycles.
 """
@@ -41,6 +41,8 @@ import math
 import re
 from bisect import bisect_left
 from typing import Any, Callable, Iterable
+
+import numpy as np
 
 __all__ = [
     "Counter",
@@ -180,6 +182,24 @@ class Histogram(Metric):
         self.sum += value
         self.count += 1
 
+    def observe_many(self, values) -> None:
+        """Record ``values`` in order: exactly a loop of :meth:`observe`.
+
+        Buckets match ``bisect_left`` (NaN included, which it files under
+        the first bucket), and the sum accumulates strictly left to right
+        from the current :attr:`sum`, so ``float.hex(self.sum)`` is the
+        loop's to the last bit.
+        """
+        values = np.asarray(values, dtype=np.float64)
+        if not values.size:
+            return
+        index = np.searchsorted(self.bounds, values, side="left")
+        index[np.isnan(values)] = 0
+        for bucket, n in enumerate(np.bincount(index, minlength=len(self.counts)).tolist()):
+            self.counts[bucket] += n
+        self.sum = float(np.add.accumulate(np.concatenate(([self.sum], values)))[-1])
+        self.count += values.size
+
     @property
     def mean(self) -> float:
         """Mean of the observations (NaN when empty)."""
@@ -269,14 +289,16 @@ def _prom_name(name: str) -> str:
     return sanitized
 
 
+def _prom_label_value(value: str) -> str:
+    """Escape a label value as the text format requires: ``\\``, ``"`` and line feed."""
+    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+
+
 def _prom_labels(labels: _LabelKey, extra: tuple[tuple[str, str], ...] = ()) -> str:
     pairs = labels + extra
     if not pairs:
         return ""
-    body = ",".join(
-        f'{_prom_name(k)}="{v.replace(chr(92), chr(92) * 2).replace(chr(34), chr(92) + chr(34))}"'
-        for k, v in pairs
-    )
+    body = ",".join(f'{_prom_name(k)}="{_prom_label_value(v)}"' for k, v in pairs)
     return "{" + body + "}"
 
 

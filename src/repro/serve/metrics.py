@@ -116,6 +116,11 @@ class RequestLog(Sequence):
         })
 
     @property
+    def request_id(self) -> np.ndarray:
+        """Request ids, one per completed request."""
+        return self._columns["request_id"]
+
+    @property
     def arrival_s(self) -> np.ndarray:
         """Arrival times, one per completed request."""
         return self._columns["arrival_s"]
@@ -129,6 +134,11 @@ class RequestLog(Sequence):
     def completion_s(self) -> np.ndarray:
         """Completion times of each request's batch."""
         return self._columns["completion_s"]
+
+    @property
+    def worker_id(self) -> np.ndarray:
+        """The worker that served each request's batch."""
+        return self._columns["worker_id"]
 
     def __len__(self) -> int:
         return len(self._columns["request_id"])

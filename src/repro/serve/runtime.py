@@ -333,8 +333,7 @@ class ServingRuntime:
             if len(set(worker_power_w)) == 1
             else sum(worker_power_w) / len(worker_power_w)
         )
-        self._finalize_obs(horizon_s, events_processed, wall_time_s)
-        return metrics.finalize(
+        report = metrics.finalize(
             accelerator=self.accelerator.name,
             models=tuple(self._batchers),
             traffic=traffic_description,
@@ -357,6 +356,8 @@ class ServingRuntime:
             events_processed=events_processed,
             wall_time_s=wall_time_s,
         )
+        self._record_obs(report)
+        return report
 
     # ------------------------------------------------------------------ #
     # Observability plumbing (read-only; every hook is attribute-guarded
@@ -369,35 +370,6 @@ class ServingRuntime:
         self._tracer = obs.tracer if obs is not None else None
         if registry is not None:
             labels = obs.label(accelerator=self.accelerator.name)
-            self._m_arrivals = registry.counter(
-                "serve.runtime.arrivals", labels, help="requests offered"
-            )
-            self._m_shed = registry.counter(
-                "serve.runtime.shed", labels, help="requests rejected by admission"
-            )
-            self._m_completed = registry.counter(
-                "serve.runtime.completed", labels, help="requests served"
-            )
-            self._m_batches = registry.counter(
-                "serve.runtime.batches", labels, help="batches completed"
-            )
-            self._m_retries = registry.counter(
-                "serve.runtime.retries", labels, help="crash-lost requests requeued"
-            )
-            self._m_failures = registry.counter(
-                "serve.runtime.failures", labels, help="requests terminally failed"
-            )
-            self._m_lost = registry.counter(
-                "serve.runtime.lost_batches", labels, help="batches lost to crashes"
-            )
-            self._m_latency = registry.histogram(
-                "serve.runtime.latency_s", labels,
-                help="end-to-end request latency (simulated seconds)",
-            )
-            self._m_queue_wait = registry.histogram(
-                "serve.runtime.queue_wait_s", labels,
-                help="admission-queue wait before dispatch (simulated seconds)",
-            )
             self._m_depth = {
                 name: registry.gauge(
                     "serve.runtime.queue_depth", {**labels, "model": name},
@@ -406,9 +378,6 @@ class ServingRuntime:
                 for name in self._batchers
             }
         else:
-            self._m_arrivals = self._m_shed = self._m_completed = None
-            self._m_batches = self._m_retries = self._m_failures = None
-            self._m_lost = self._m_latency = self._m_queue_wait = None
             self._m_depth = None
         if self._tracer is not None:
             self._trace_pid = self._tracer.new_process(
@@ -427,6 +396,8 @@ class ServingRuntime:
             # nested, which a per-thread B/E stack cannot represent.
             self._trace_throttle: dict[int, tuple[float, float]] = {}
             self._trace_down: dict[int, tuple[float, str]] = {}
+            # First reserved request-span slot of each completed batch.
+            self._trace_span_seqs: list[int] = []
 
     def _trace_queue_depth(self, now_s: float, batcher) -> None:
         self._tracer.counter(
@@ -434,12 +405,17 @@ class ServingRuntime:
             {"depth": batcher.depth},
         )
 
-    def _finalize_obs(
-        self, horizon_s: float, events_processed: int, wall_time_s: float
-    ) -> None:
-        """Close open trace episodes and record the run-level metrics."""
+    def _record_obs(self, report: ServingReport) -> None:
+        """Derive the run's metrics and the rest of its trace from ``report``.
+
+        The loop records no per-request observation and no count: the
+        counters, the latency and queue-wait histograms, and the requests'
+        queue/service spans are all read off the report after the run.
+        """
+        requests = report.requests
         tracer = self._tracer
         if tracer is not None:
+            horizon_s = report.horizon_s
             for worker_id, (start_s, derate) in sorted(self._trace_throttle.items()):
                 tracer.complete(
                     start_s, max(horizon_s, start_s) - start_s,
@@ -452,22 +428,51 @@ class ServingRuntime:
                 )
             self._trace_throttle.clear()
             self._trace_down.clear()
+            # Requests are logged batch by batch in completion order; request
+            # j of the batch that starts at index b takes the four slots from
+            # the batch's reserved seq + 4 * (j - b).
+            sizes = np.fromiter(
+                (batch.size for batch in report.batches), np.int64, len(report.batches)
+            )
+            offsets = np.asarray(self._trace_span_seqs, np.int64) - 4 * (np.cumsum(sizes) - sizes)
+            tracer.request_spans(
+                np.repeat(offsets, sizes) + 4 * np.arange(len(requests)),
+                requests.request_id, requests.arrival_s, requests.dispatch_s,
+                requests.completion_s, requests.worker_id, self._trace_pid,
+            )
         obs = self.obs
         registry = obs.metrics if obs is not None else None
-        if registry is not None:
-            labels = obs.label(accelerator=self.accelerator.name)
-            registry.counter(
-                "serve.runtime.events_processed", labels,
-                help="discrete events the loop processed",
-            ).inc(events_processed)
-            registry.gauge(
-                "serve.runtime.wall_time_s", labels,
-                help="wall-clock seconds the event loop took",
-            ).inc(wall_time_s)
-            registry.gauge(
-                "serve.runtime.peak_queue_depth", labels,
-                help="deepest any admission queue got",
-            ).set(max(batcher.peak_depth for batcher in self._batchers.values()))
+        if registry is None:
+            return
+        labels = obs.label(accelerator=self.accelerator.name)
+        for name, value, description in (
+            ("arrivals", report.n_arrivals, "requests offered"),
+            ("shed", report.n_shed, "requests rejected by admission"),
+            ("completed", report.n_completed, "requests served"),
+            ("batches", len(report.batches), "batches completed"),
+            ("retries", report.n_retries, "crash-lost requests requeued"),
+            ("failures", report.n_failed, "requests terminally failed"),
+            ("lost_batches", report.n_lost_batches, "batches lost to crashes"),
+            ("events_processed", report.events_processed,
+             "discrete events the loop processed"),
+        ):
+            registry.counter(f"serve.runtime.{name}", labels, help=description).inc(value)
+        registry.histogram(
+            "serve.runtime.latency_s", labels,
+            help="end-to-end request latency (simulated seconds)",
+        ).observe_many(report.latencies_s)
+        registry.histogram(
+            "serve.runtime.queue_wait_s", labels,
+            help="admission-queue wait before dispatch (simulated seconds)",
+        ).observe_many(requests.dispatch_s - requests.arrival_s)
+        registry.gauge(
+            "serve.runtime.wall_time_s", labels,
+            help="wall-clock seconds the event loop took",
+        ).inc(report.wall_time_s)
+        registry.gauge(
+            "serve.runtime.peak_queue_depth", labels,
+            help="deepest any admission queue got",
+        ).set(report.peak_queue_depth)
 
     # ------------------------------------------------------------------ #
     # Handlers
@@ -495,14 +500,10 @@ class ServingRuntime:
 
     def _handle_arrival(self, request, clock, queue, metrics, trace) -> None:
         metrics.record_arrival(request)
-        if self._m_arrivals is not None:
-            self._m_arrivals.inc()
         batcher = self._batchers[request.model]
         if not batcher.offer(request, clock.now_s):
             metrics.record_shed(request)
             trace.append(TraceEvent(clock.now_s, "shed", request.request_id))
-            if self._m_shed is not None:
-                self._m_shed.inc()
             if self._tracer is not None:
                 self._tracer.instant(
                     clock.now_s, "shed", self._trace_pid, 0,
@@ -553,34 +554,21 @@ class ServingRuntime:
         self.pool.workers[batch.worker_id].record_completion(batch.latency_s, batch.size)
         self._last_completion_s = clock.now_s
         trace.append(TraceEvent(clock.now_s, "complete", batch.batch_id))
-        if self._m_batches is not None:
-            self._m_batches.inc()
-            self._m_completed.inc(batch.size)
-            for request in batch.requests:
-                self._m_latency.observe(batch.completion_s - request.arrival_s)
-                self._m_queue_wait.observe(batch.dispatch_s - request.arrival_s)
         if self._tracer is not None:
             # The batch's true extent is only known now, so its worker-lane
-            # span and its requests' queue/service async spans land here.
-            tid = batch.worker_id + 1
+            # span lands here.  Its requests' queue/service spans (four
+            # events each) take the slots reserved next; _record_obs
+            # fills them after the run.
             self._tracer.complete(
                 batch.dispatch_s, batch.latency_s,
-                f"{batch.model} x{batch.size}", self._trace_pid, tid,
+                f"{batch.model} x{batch.size}", self._trace_pid, batch.worker_id + 1,
                 args={
                     "batch": batch.batch_id,
                     "deadline_triggered": batch.deadline_triggered,
                     "energy_j": batch.energy_j,
                 },
             )
-            for request in batch.requests:
-                self._tracer.async_span(
-                    request.arrival_s, batch.dispatch_s, "queue", "request",
-                    request.request_id, self._trace_pid,
-                )
-                self._tracer.async_span(
-                    batch.dispatch_s, batch.completion_s, "service", "request",
-                    request.request_id, self._trace_pid, tid,
-                )
+            self._trace_span_seqs.append(self._tracer.reserve(4 * batch.size))
         functional = self.functional.get(batch.model)
         if functional is not None:
             model, inputs = functional
@@ -642,8 +630,6 @@ class ServingRuntime:
                 clock.now_s, "batch_lost", batch.batch_id, worker.worker_id, batch.size
             )
         )
-        if self._m_lost is not None:
-            self._m_lost.inc()
         if self._tracer is not None:
             self._tracer.complete(
                 batch.dispatch_s, elapsed_s,
@@ -723,8 +709,6 @@ class ServingRuntime:
                 trace.append(
                     TraceEvent(clock.now_s, "failed", request.request_id, attempts)
                 )
-                if self._m_failures is not None:
-                    self._m_failures.inc()
                 if self._tracer is not None:
                     self._tracer.instant(
                         clock.now_s, "failed", self._trace_pid, 0,
@@ -736,8 +720,6 @@ class ServingRuntime:
             trace.append(
                 TraceEvent(clock.now_s, "retry", request.request_id, attempts)
             )
-            if self._m_retries is not None:
-                self._m_retries.inc()
             if self._tracer is not None:
                 self._tracer.instant(
                     clock.now_s, "retry", self._trace_pid, 0,

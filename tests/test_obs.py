@@ -13,6 +13,10 @@ Also covered:
 * Chrome trace-event schema validity (required keys, monotonic ``ts``,
   matched ``B``/``E`` per thread, matched ``b``/``e`` per ``(cat, id)``,
   non-negative ``X`` durations) for both hand-built and runtime traces;
+* the trace export: the row tracer's encoder against ``json.dumps`` of the
+  dict-per-event trace (hypothesis, every phase, reserved request spans),
+  and sha256 pins of one runtime scenario's trace and metrics bytes;
+* ``Histogram.observe_many`` against a loop of ``observe``, bit for bit;
 * the wall-clock loop profiler and its instrumented event queue;
 * the cache satellite: ``global_cache_stats`` as a registry view;
 * the study layer: registry-backed envelope accounting, embedded metrics
@@ -21,9 +25,11 @@ Also covered:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -210,6 +216,42 @@ class TestMetrics:
         assert 'lat_bucket{le="+Inf"} 2' in text
         assert "lat_count 2" in text
 
+    def test_prometheus_label_escapes_line_feed(self):
+        registry = MetricsRegistry()
+        registry.counter("x", {"study": 'a\nb\\c"d'})
+        lines = registry.to_prometheus().splitlines()
+        assert 'x_total{study="a\\nb\\\\c\\"d"} 0' in lines
+        assert all(line.startswith(("#", "x_total{")) for line in lines), lines
+
+    @given(
+        runs=st.lists(
+            st.lists(
+                st.one_of(
+                    st.floats(),
+                    st.sampled_from([0.0, -0.0, 1.0, 10.0, 100.0, math.inf, -math.inf, math.nan]),
+                ),
+                max_size=40,
+            ),
+            min_size=1, max_size=3,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_observe_many_equals_observe_loop(self, runs):
+        # Runs made in a row into one registry, the empty run included; the
+        # sum must match to the last bit (float.hex), not approximately.
+        looped, bulk = MetricsRegistry(), MetricsRegistry()
+        a = looped.histogram("h", buckets=(1.0, 10.0, 100.0))
+        b = bulk.histogram("h", buckets=(1.0, 10.0, 100.0))
+        for values in [*runs, []]:
+            for value in values:
+                a.observe(value)
+            b.observe_many(np.asarray(values))
+        assert b.counts == a.counts
+        assert b.count == a.count
+        assert type(b.sum) is float
+        assert float.hex(b.sum) == float.hex(a.sum)
+        assert bulk.to_prometheus() == looped.to_prometheus()
+
     def test_write_prom_vs_json(self, tmp_path):
         registry = MetricsRegistry()
         registry.counter("n").inc()
@@ -312,6 +354,206 @@ class TestTracer:
 
 
 # --------------------------------------------------------------------------- #
+# Tracer export: one encoder, byte-identical to json.dumps of the event dicts
+# --------------------------------------------------------------------------- #
+_TEXTS = st.one_of(
+    st.sampled_from(["queue", 'say "hi"', "back\\slash", "ctl\x00\x1f\n\t", "naïve ✓", "\ud800"]),
+    st.text(max_size=4),
+)
+_TS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-6, 2.5e-6, 0.1, 1e300, math.inf, -math.inf]),
+    st.floats(min_value=-1.0, max_value=1.0),
+)
+_VALUES = st.one_of(
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**63, max_value=2**90),
+    st.floats(),
+    st.sampled_from([-0.0, math.nan, math.inf, -math.inf]),
+    _TEXTS,
+)
+_ARGS = st.one_of(st.none(), st.dictionaries(_TEXTS, _VALUES, max_size=3))
+_IDS = st.integers(0, 3)
+
+
+@st.composite
+def _request_block(draw):
+    """Columns of ``n`` completed requests (numpy, as ``RequestLog`` holds them)."""
+    n = draw(st.integers(0, 4))
+    times = [sorted(draw(st.lists(_TS, min_size=3, max_size=3))) for _ in range(n)]
+    return {
+        "request_id": np.asarray(
+            draw(st.lists(st.integers(0, 2**62), min_size=n, max_size=n)), dtype=np.int64
+        ),
+        "arrival_s": np.asarray([t[0] for t in times], dtype=float),
+        "dispatch_s": np.asarray([t[1] for t in times], dtype=float),
+        "completion_s": np.asarray([t[2] for t in times], dtype=float),
+        "worker_id": np.asarray(draw(st.lists(_IDS, min_size=n, max_size=n)), dtype=np.int64),
+    }
+
+
+_OPS = st.one_of(
+    st.tuples(st.just("complete"), _TS, st.floats(), _TEXTS, _IDS, _IDS, _ARGS),
+    st.tuples(st.just("begin"), _TS, _TEXTS, _IDS, _IDS, _ARGS),
+    st.tuples(st.just("end"), _TS),
+    st.tuples(st.just("instant"), _TS, _TEXTS, _IDS, _IDS, _ARGS),
+    st.tuples(
+        st.just("counter"), _TS, _TEXTS, _IDS, _IDS,
+        st.one_of(
+            st.dictionaries(_TEXTS, st.one_of(st.integers(), st.booleans()), min_size=1, max_size=1),
+            st.dictionaries(_TEXTS, _VALUES, max_size=2),
+        ),
+    ),
+    st.tuples(
+        st.just("async"), _TS, _TS, _TEXTS, _TEXTS,
+        st.one_of(st.integers(), st.booleans(), _TEXTS), _IDS, _IDS, _ARGS,
+    ),
+    st.tuples(st.just("process"), _TEXTS),
+    st.tuples(st.just("thread"), _IDS, _IDS, _TEXTS),
+    st.tuples(st.just("reserve"), _request_block()),
+)
+
+
+def _replay(ops, fill_at):
+    """Apply ``ops`` to a :class:`Tracer` and build the expected trace dict.
+
+    The expectation is the dict-per-event trace: metadata in emission order,
+    then events sorted by ``(ts, emission index)``.  Each ``reserve`` op
+    holds a block of requests whose four queue/service events take the
+    reserved indices.  One bulk ``request_spans`` call fills every block
+    just before op ``fill_at`` (after the last ``reserve``), so ordinary
+    emissions surround it, as in a serving run.
+    """
+    tracer = Tracer()
+    meta, events, blocks, open_spans = [], [], [], []
+
+    def emitted(event):
+        events.append((event["ts"], len(events), event))
+
+    def with_args(event, args):
+        if args:
+            event["args"] = args
+        return event
+
+    def fill():
+        if blocks:
+            tracer.request_spans(
+                np.concatenate([b["seq"] + 4 * np.arange(len(b["request_id"])) for b in blocks]),
+                pid=7,
+                **{
+                    name: np.concatenate([b[name] for b in blocks])
+                    for name in (
+                        "request_id", "arrival_s", "dispatch_s", "completion_s", "worker_id"
+                    )
+                },
+            )
+
+    for index, op in enumerate(ops):
+        if index == fill_at:
+            fill()
+        kind = op[0]
+        if kind == "complete":
+            _, ts, dur, name, pid, tid, args = op
+            tracer.complete(ts, dur, name, pid, tid, args)
+            emitted(with_args({"name": name, "ph": "X", "ts": ts * 1e6,
+                               "dur": max(0.0, dur) * 1e6, "pid": pid, "tid": tid}, args))
+        elif kind == "begin":
+            _, ts, name, pid, tid, args = op
+            tracer.begin(ts, name, pid, tid, args)
+            open_spans.append((name, pid, tid))
+            emitted(with_args({"name": name, "ph": "B", "ts": ts * 1e6,
+                               "pid": pid, "tid": tid}, args))
+        elif kind == "end" and open_spans:
+            # End the newest open span; Tracer.end names it from its stack.
+            name, pid, tid = open_spans.pop()
+            tracer.end(op[1], pid, tid)
+            emitted({"name": name, "ph": "E", "ts": op[1] * 1e6, "pid": pid, "tid": tid})
+        elif kind == "instant":
+            _, ts, name, pid, tid, args = op
+            tracer.instant(ts, name, pid, tid, args)
+            emitted(with_args({"name": name, "ph": "i", "ts": ts * 1e6,
+                               "pid": pid, "tid": tid, "s": "t"}, args))
+        elif kind == "counter":
+            _, ts, name, pid, tid, values = op
+            tracer.counter(ts, name, pid, tid, values)
+            emitted({"name": name, "ph": "C", "ts": ts * 1e6, "pid": pid, "tid": tid,
+                     "args": dict(values)})
+        elif kind == "async":
+            _, start, end, name, cat, correlation_id, pid, tid, args = op
+            tracer.async_span(start, end, name, cat, correlation_id, pid, tid, args)
+            emitted(with_args({"name": name, "cat": cat, "ph": "b", "id": correlation_id,
+                               "ts": start * 1e6, "pid": pid, "tid": tid}, args))
+            emitted({"name": name, "cat": cat, "ph": "e", "id": correlation_id,
+                     "ts": end * 1e6, "pid": pid, "tid": tid})
+        elif kind == "process":
+            pid = tracer.new_process(op[1])
+            meta.append({"name": "process_name", "ph": "M", "pid": pid, "tid": 0,
+                         "args": {"name": op[1]}})
+        elif kind == "thread":
+            _, pid, tid, name = op
+            tracer.thread_name(pid, tid, name)
+            meta.append({"name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
+                         "args": {"name": name}})
+        elif kind == "reserve":
+            block = dict(op[1], seq=tracer.reserve(4 * len(op[1]["request_id"])))
+            blocks.append(block)
+            for rid, arrival, dispatch, completion, worker in zip(
+                block["request_id"].tolist(), block["arrival_s"].tolist(),
+                block["dispatch_s"].tolist(), block["completion_s"].tolist(),
+                block["worker_id"].tolist(),
+            ):
+                for name, ph, ts, tid in (
+                    ("queue", "b", arrival, 0), ("queue", "e", dispatch, 0),
+                    ("service", "b", dispatch, worker + 1),
+                    ("service", "e", completion, worker + 1),
+                ):
+                    emitted({"name": name, "cat": "request", "ph": ph, "id": rid,
+                             "ts": ts * 1e6, "pid": 7, "tid": tid})
+    if fill_at == len(ops):
+        fill()
+    ordered = sorted(events, key=lambda item: (item[0], item[1]))
+    return tracer, {
+        "traceEvents": meta + [event for _, _, event in ordered],
+        "displayTimeUnit": "ms",
+    }
+
+
+class TestTracerExport:
+    @given(ops=st.lists(_OPS, max_size=25), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_encoder_matches_json_dumps(self, ops, data, tmp_path_factory):
+        reserves = [index for index, op in enumerate(ops) if op[0] == "reserve"]
+        fill_at = data.draw(st.integers(max(reserves, default=-1) + 1, len(ops)))
+        tracer, expected = _replay(ops, fill_at)
+        text = tracer.to_json()
+        # The old dict-per-event export, the new to_dict(), and the streamed
+        # file all agree byte for byte.
+        assert text == json.dumps(expected)
+        assert text == json.dumps(tracer.to_dict())
+        path = tmp_path_factory.mktemp("trace") / "t.json"
+        tracer.write(path)
+        assert path.read_bytes() == (text + "\n").encode()
+        assert len(tracer) == len(expected["traceEvents"])
+
+    def test_equal_timestamps_keep_emission_order(self):
+        tracer = Tracer()
+        pid = tracer.new_process("p")
+        base = tracer.reserve(4)
+        tracer.instant(0.0, "after-reserve", pid, 0)
+        tracer.instant(-0.0, "negative-zero", pid, 0)
+        tracer.request_spans(
+            [base], np.array([5]), [0.0], [0.0], [0.0], np.array([1]), pid
+        )
+        names = [
+            (e["name"], e["ph"]) for e in tracer.to_dict()["traceEvents"] if e["ph"] != "M"
+        ]
+        assert names == [
+            ("queue", "b"), ("queue", "e"), ("service", "b"), ("service", "e"),
+            ("after-reserve", "i"), ("negative-zero", "i"),
+        ]
+
+
+# --------------------------------------------------------------------------- #
 # Loop profiler
 # --------------------------------------------------------------------------- #
 class TestLoopProfiler:
@@ -407,6 +649,27 @@ class TestByteIdentity:
         # Request lifetimes split into queue-wait and service phases.
         async_names = {e["name"] for e in events if e["ph"] == "b"}
         assert async_names == {"queue", "service"}
+
+    # sha256 of the FAULTY scenario's trace JSON and metrics JSON (without
+    # the wall-clock serve.runtime.wall_time_s gauge), recorded from the
+    # dict-per-event tracer and per-request histogram observations.  The
+    # derived request spans and histograms must reproduce them exactly.
+    TRACE_SHA256 = "85261da7bf4cb43c20f3b93ce6b184f7e8f82f96826887eec34dd041dbc4202b"
+    METRICS_SHA256 = "e5bfb1af50588e36bcabda378e234fc44ff2be42de8504c7a90d8cf6ccfcb1d0"
+
+    def test_trace_and_metrics_bytes_pinned(self, lenet, crosslight):
+        # No cache collector: cache accounting depends on what else ran.
+        obs = Observability(metrics=MetricsRegistry(), tracer=Tracer())
+        self._run(lenet, crosslight, 7, 120_000.0, 2, FAULTY, obs)
+        trace = obs.tracer.to_json()
+        payload = obs.metrics.to_dict()
+        payload["metrics"] = [
+            m for m in payload["metrics"] if m["name"] != "serve.runtime.wall_time_s"
+        ]
+        metrics = json.dumps(payload, indent=2)
+        assert len(obs.tracer) == len(json.loads(trace)["traceEvents"]) == 2499
+        assert hashlib.sha256(trace.encode()).hexdigest() == self.TRACE_SHA256
+        assert hashlib.sha256(metrics.encode()).hexdigest() == self.METRICS_SHA256
 
     def test_runtime_metrics_account_for_traffic(self, lenet, crosslight):
         obs = Observability.enabled(tracer=False)
