@@ -5,7 +5,8 @@ Implements the layer types used by the paper's four evaluation models
 flatten, ReLU / sigmoid / tanh activations, batch normalization, and dropout.
 Every layer provides ``forward`` and ``backward`` passes so models can be
 trained from scratch, plus a ``parameters()`` view used by the optimizers and
-the quantization machinery.
+the quantization machinery.  Layers keep the inputs their backward pass
+needs only in training mode; an inference-mode forward holds nothing.
 
 The convolution and dense layers are also the layers CrossLight accelerates
 optically; the performance simulator (:mod:`repro.sim`) walks a trained
@@ -16,12 +17,13 @@ product structure via :meth:`Layer.workload`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.nn import functional as F
-from repro.nn.initializers import glorot_uniform, he_normal, zeros
+from repro.nn.initializers import DeferredInit, glorot_uniform, he_normal, zeros
 from repro.utils.validation import check_positive_int
 
 
@@ -134,7 +136,101 @@ class Layer:
         return int(sum(p.size for p in self.parameters().values()))
 
 
-class Dense(Layer):
+class _DrawnOnRead:
+    """Parameter slot of a layer whose :class:`DeferredInit` has not drawn yet.
+
+    A non-data descriptor: Python consults it only while the instance has
+    no attribute of that name.  Reading it draws every pending layer of the
+    layer's model; the drawn arrays are then instance attributes that shadow
+    the descriptor, so drawn (and eagerly built) layers read them at plain
+    attribute speed.
+    """
+
+    def __set_name__(self, owner, name: str) -> None:
+        self._name = name
+
+    def __get__(self, layer, owner=None):
+        if layer is None:
+            return self
+        layer._deferred.draw()
+        return vars(layer)[self._name]
+
+
+class _WeightedLayer(Layer):
+    """A layer CrossLight accelerates: an initialised kernel plus a zero bias.
+
+    ``rng`` draws the kernel in ``__init__`` (``None`` means
+    ``default_rng(0)``), unless it is a
+    :class:`~repro.nn.initializers.DeferredInit`: then the draw waits for
+    the first read of ``weight``, ``bias`` or a gradient buffer.
+    Geometry (``weight_shape``, :attr:`n_parameters`, :meth:`workload`) is
+    known without drawing.
+    """
+
+    weight = _DrawnOnRead()
+    bias = _DrawnOnRead()
+    _grad_weight = _DrawnOnRead()
+    _grad_bias = _DrawnOnRead()
+
+    #: Kernel initialiser, ``(shape, rng) -> array``.
+    initializer = staticmethod(glorot_uniform)
+
+    def __init__(
+        self,
+        weight_shape: tuple[int, ...],
+        n_outputs: int,
+        use_bias: bool,
+        rng: np.random.Generator | DeferredInit | None,
+    ) -> None:
+        super().__init__()
+        self.weight_shape = weight_shape
+        self.use_bias = use_bias
+        self._n_outputs = n_outputs
+        if isinstance(rng, DeferredInit):
+            self._deferred = rng
+            rng.defer(self)
+        else:
+            self.draw(rng or np.random.default_rng(0))
+
+    def draw(self, rng: np.random.Generator) -> None:
+        """Initialise the parameters and their zeroed gradient buffers.
+
+        An attribute assigned before a deferred draw runs is kept; ``rng``
+        advances either way, so the layers drawn after this one get the
+        same bytes.
+        """
+        weight = self.initializer(self.weight_shape, rng)
+        bias = zeros((self._n_outputs,)) if self.use_bias else None
+        fields = vars(self)
+        fields.pop("_deferred", None)
+        fields.setdefault("weight", weight)
+        fields.setdefault("bias", bias)
+        # np.zeros rather than zeros_like: pages nothing writes are never
+        # touched, so an untrained model's gradient buffers cost no memory.
+        fields.setdefault("_grad_weight", np.zeros(weight.shape, weight.dtype))
+        fields.setdefault(
+            "_grad_bias", None if bias is None else np.zeros(bias.shape, bias.dtype)
+        )
+
+    def parameters(self) -> dict[str, np.ndarray]:
+        params = {"weight": self.weight}
+        if self.use_bias:
+            params["bias"] = self.bias
+        return params
+
+    def gradients(self) -> dict[str, np.ndarray]:
+        grads = {"weight": self._grad_weight}
+        if self.use_bias:
+            grads["bias"] = self._grad_bias
+        return grads
+
+    @property
+    def n_parameters(self) -> int:
+        """Trainable scalars, counted from the geometry (never draws)."""
+        return math.prod(self.weight_shape) + (self._n_outputs if self.use_bias else 0)
+
+
+class Dense(_WeightedLayer):
     """Fully connected layer: ``y = x W + b``.
 
     Parameters
@@ -144,8 +240,10 @@ class Dense(Layer):
     use_bias:
         Whether to add a bias vector.
     rng:
-        Random generator for weight initialization (seeded for
-        reproducibility of the accuracy experiments).
+        Generator the Glorot-uniform weights are drawn from in
+        ``__init__`` (seeded for reproducibility of the accuracy
+        experiments), or a :class:`~repro.nn.initializers.DeferredInit`
+        that draws them on the first read of a parameter.
     """
 
     kind = "fc"
@@ -155,19 +253,13 @@ class Dense(Layer):
         in_features: int,
         out_features: int,
         use_bias: bool = True,
-        rng: np.random.Generator | None = None,
+        rng: np.random.Generator | DeferredInit | None = None,
     ) -> None:
-        super().__init__()
         check_positive_int("in_features", in_features)
         check_positive_int("out_features", out_features)
-        rng = rng or np.random.default_rng(0)
         self.in_features = in_features
         self.out_features = out_features
-        self.use_bias = use_bias
-        self.weight = glorot_uniform((in_features, out_features), rng)
-        self.bias = zeros((out_features,)) if use_bias else None
-        self._grad_weight = np.zeros_like(self.weight)
-        self._grad_bias = np.zeros_like(self.bias) if use_bias else None
+        super().__init__((in_features, out_features), out_features, use_bias, rng)
         self._last_input: np.ndarray | None = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
@@ -175,7 +267,7 @@ class Dense(Layer):
             raise ValueError(
                 f"Dense expected input of shape (N, {self.in_features}), got {inputs.shape}"
             )
-        self._last_input = inputs
+        self._last_input = inputs if self.training else None
         output = F.matmul(inputs, self.weight)
         if self.use_bias:
             output = output + self.bias
@@ -230,18 +322,6 @@ class Dense(Layer):
         if self.use_bias:
             self._grad_bias = grad_output.sum(axis=0)
 
-    def parameters(self) -> dict[str, np.ndarray]:
-        params = {"weight": self.weight}
-        if self.use_bias:
-            params["bias"] = self.bias
-        return params
-
-    def gradients(self) -> dict[str, np.ndarray]:
-        grads = {"weight": self._grad_weight}
-        if self.use_bias:
-            grads["bias"] = self._grad_bias
-        return grads
-
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         return (self.out_features,)
 
@@ -253,7 +333,7 @@ class Dense(Layer):
         )
 
 
-class Conv2D(Layer):
+class Conv2D(_WeightedLayer):
     """2-D convolution layer in NCHW layout, lowered to im2col matrix products.
 
     Parameters
@@ -266,9 +346,16 @@ class Conv2D(Layer):
         sized for.
     stride, padding:
         Convolution stride and symmetric zero padding.
+    use_bias:
+        Whether to add a per-channel bias.
+    rng:
+        Generator the He-normal kernels are drawn from in ``__init__``, or
+        a :class:`~repro.nn.initializers.DeferredInit` that draws them on
+        the first read of a parameter.
     """
 
     kind = "conv"
+    initializer = staticmethod(he_normal)
 
     def __init__(
         self,
@@ -278,28 +365,25 @@ class Conv2D(Layer):
         stride: int = 1,
         padding: int = 0,
         use_bias: bool = True,
-        rng: np.random.Generator | None = None,
+        rng: np.random.Generator | DeferredInit | None = None,
     ) -> None:
-        super().__init__()
         check_positive_int("in_channels", in_channels)
         check_positive_int("out_channels", out_channels)
         check_positive_int("kernel_size", kernel_size)
         check_positive_int("stride", stride)
         if padding < 0:
             raise ValueError("padding must be non-negative")
-        rng = rng or np.random.default_rng(0)
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
         self.stride = stride
         self.padding = padding
-        self.use_bias = use_bias
-        self.weight = he_normal(
-            (out_channels, in_channels, kernel_size, kernel_size), rng
+        super().__init__(
+            (out_channels, in_channels, kernel_size, kernel_size),
+            out_channels,
+            use_bias,
+            rng,
         )
-        self.bias = zeros((out_channels,)) if use_bias else None
-        self._grad_weight = np.zeros_like(self.weight)
-        self._grad_bias = np.zeros_like(self.bias) if use_bias else None
         self._cache: tuple | None = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
@@ -316,7 +400,7 @@ class Conv2D(Layer):
         if self.use_bias:
             output = output + self.bias
         output = output.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
-        self._cache = (inputs.shape, cols)
+        self._cache = (inputs.shape, cols) if self.training else None
         return output
 
     def lower(self, inputs: np.ndarray) -> np.ndarray:
@@ -344,9 +428,9 @@ class Conv2D(Layer):
         under ``weights[e]``.
         """
         weights = np.asarray(weights)
-        if weights.ndim != 5 or weights.shape[1:] != self.weight.shape:
+        if weights.ndim != 5 or weights.shape[1:] != self.weight_shape:
             raise ValueError(
-                f"Conv2D ensemble expected weights (E, *{self.weight.shape}), "
+                f"Conv2D ensemble expected weights (E, *{self.weight_shape}), "
                 f"got {weights.shape}"
             )
         if inputs.ndim not in (4, 5) or inputs.shape[-3] != self.in_channels:
@@ -396,18 +480,6 @@ class Conv2D(Layer):
         self._grad_weight = F.matmul(cols.T, grad_matrix).T.reshape(self.weight.shape)
         if self.use_bias:
             self._grad_bias = grad_matrix.sum(axis=0)
-
-    def parameters(self) -> dict[str, np.ndarray]:
-        params = {"weight": self.weight}
-        if self.use_bias:
-            params["bias"] = self.bias
-        return params
-
-    def gradients(self) -> dict[str, np.ndarray]:
-        grads = {"weight": self._grad_weight}
-        if self.use_bias:
-            grads["bias"] = self._grad_bias
-        return grads
 
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         c, h, w = input_shape
@@ -496,7 +568,7 @@ class MaxPool2D(_Pool2D):
         cols, out_h, out_w = self._patches(inputs)
         argmax = np.argmax(cols, axis=1)
         output = cols[np.arange(cols.shape[0]), argmax]
-        self._cache = (inputs.shape, argmax, out_h, out_w)
+        self._cache = (inputs.shape, argmax, out_h, out_w) if self.training else None
         return output.reshape(n, c, out_h, out_w)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -521,7 +593,7 @@ class AvgPool2D(_Pool2D):
         n, c, h, w = inputs.shape
         cols, out_h, out_w = self._patches(inputs)
         output = cols.mean(axis=1)
-        self._cache = (inputs.shape, out_h, out_w)
+        self._cache = (inputs.shape, out_h, out_w) if self.training else None
         return output.reshape(n, c, out_h, out_w)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -565,7 +637,7 @@ class ReLU(Layer):
         self._last_input: np.ndarray | None = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        self._last_input = inputs
+        self._last_input = inputs if self.training else None
         return F.relu(inputs)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -587,7 +659,7 @@ class Sigmoid(Layer):
         self._last_input: np.ndarray | None = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        self._last_input = inputs
+        self._last_input = inputs if self.training else None
         return F.sigmoid(inputs)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -609,7 +681,7 @@ class Tanh(Layer):
         self._last_input: np.ndarray | None = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        self._last_input = inputs
+        self._last_input = inputs if self.training else None
         return F.tanh(inputs)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -694,7 +766,7 @@ class BatchNorm(Layer):
         mean_b = self._reshape_stats(mean, inputs.ndim)
         var_b = self._reshape_stats(var, inputs.ndim)
         normalized = (inputs - mean_b) / np.sqrt(var_b + self.eps)
-        self._cache = (normalized, var_b, axes, inputs.shape)
+        self._cache = (normalized, var_b, axes, inputs.shape) if self.training else None
         gamma_b = self._reshape_stats(self.gamma, inputs.ndim)
         beta_b = self._reshape_stats(self.beta, inputs.ndim)
         return gamma_b * normalized + beta_b

@@ -19,13 +19,20 @@ Each model comes in two flavours:
 * **compact** (``compact=True``) -- a downscaled version matched to the
   synthetic datasets in :mod:`repro.nn.datasets`, small enough to train on a
   CPU in seconds.  The Fig. 5 accuracy-vs-resolution experiment trains these.
+
+Every builder draws its layers' initial weights from one
+:class:`~repro.nn.initializers.DeferredInit` seeded with the builder's
+``seed``: nothing is drawn until the first read of a parameter (or a
+gradient buffer, or :meth:`~repro.nn.model.Sequential.astype`), and then the
+whole model is drawn at once in layer order, byte-identical to drawing
+eagerly from ``default_rng(seed)``.  The performance studies only walk the
+models' workloads and parameter counts, so the full-size models -- 43 M
+float64 weights together -- are never allocated there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.nn.datasets import (
     CIFAR10_SPEC,
@@ -34,6 +41,7 @@ from repro.nn.datasets import (
     STL10_SPEC,
     DatasetSpec,
 )
+from repro.nn.initializers import DeferredInit
 from repro.nn.layers import AvgPool2D, Conv2D, Dense, Flatten, MaxPool2D, ReLU
 from repro.nn.model import Sequential, SiameseModel
 
@@ -76,7 +84,7 @@ def build_lenet5(compact: bool = False, seed: int = 0) -> Sequential:
     classes (Sign-MNIST letters) and lands within a few percent of the
     paper's 60,074 parameters.
     """
-    rng = np.random.default_rng(seed)
+    rng = DeferredInit(seed)
     if compact:
         input_shape = SIGN_MNIST_SPEC.image_shape  # (1, 16, 16)
         layers = [
@@ -113,7 +121,7 @@ def build_lenet5(compact: bool = False, seed: int = 0) -> Sequential:
 # --------------------------------------------------------------------------- #
 def build_cnn_cifar10(compact: bool = False, seed: int = 1) -> Sequential:
     """Custom CNN with 4 CONV + 2 FC layers (~890 k parameters full-size)."""
-    rng = np.random.default_rng(seed)
+    rng = DeferredInit(seed)
     if compact:
         input_shape = CIFAR10_SPEC.image_shape  # (3, 16, 16)
         layers = [
@@ -158,7 +166,7 @@ def build_cnn_cifar10(compact: bool = False, seed: int = 1) -> Sequential:
 # --------------------------------------------------------------------------- #
 def build_cnn_stl10(compact: bool = False, seed: int = 2) -> Sequential:
     """Custom CNN with 7 CONV + 2 FC layers (~3.2 M parameters full-size)."""
-    rng = np.random.default_rng(seed)
+    rng = DeferredInit(seed)
     if compact:
         input_shape = STL10_SPEC.image_shape  # (3, 24, 24)
         layers = [
@@ -222,7 +230,7 @@ def build_siamese_omniglot(compact: bool = False, seed: int = 3) -> SiameseModel
     The trunk has 4 CONV + 2 FC layers; because both twin branches execute it
     per pair inference, the paper counts the model as 8 CONV + 4 FC layers.
     """
-    rng = np.random.default_rng(seed)
+    rng = DeferredInit(seed)
     if compact:
         input_shape = OMNIGLOT_SPEC.image_shape  # (1, 20, 20)
         trunk_layers = [

@@ -510,52 +510,6 @@ forward_ensemble` / :meth:`~repro.nn.layers.Conv2D.forward_ensemble`);
                 start = member
         return chunks
 
-    def _plan_batch(
-        self,
-        model: Sequential,
-        layer_stacks: dict[int, np.ndarray],
-        batch: np.ndarray,
-        chunks: list[range],
-        cache: dict,
-    ) -> None:
-        """One planning pass fusing the shared prefix across ALL resolutions.
-
-        A resolution sweep (the fig5 shape) arrives as one chunk per
-        activation resolution.  Without planning, each chunk quantizes the
-        batch and lowers it through im2col separately -- one dispatch per
-        resolution point.  This pass instead prepares every resolution's
-        prefix up front: all distinct input-quantization variants are
-        computed, and when the model opens with a noisy Conv2D they are
-        stacked along the batch axis and lowered with **one** backend
-        ``im2col`` call, whose row blocks are then sliced back into the
-        per-resolution cache entries :meth:`_forward_members` consumes.
-
-        The merged lowering is bit-identical to the per-resolution calls:
-        im2col is a pure gather and its rows are ordered by sample, so the
-        rows of variant ``r`` in the merged output are exactly the rows of a
-        standalone ``im2col`` over that variant.
-        """
-        distinct_bits: list[int | None] = []
-        for members in chunks:
-            bits = self.activation_bits[members.start]
-            if bits not in distinct_bits:
-                distinct_bits.append(bits)
-        batch = np.asarray(batch)
-        variants = []
-        for bits in distinct_bits:
-            key = ("in", bits)
-            if key not in cache:
-                cache[key] = self._quantize_shared(self._cast(batch), bits)
-            variants.append(cache[key])
-        first = model.layers[0]
-        if len(variants) > 1 and 0 in layer_stacks and isinstance(first, Conv2D):
-            merged = first.lower(np.concatenate(variants, axis=0))
-            rows_per_variant = merged.shape[0] // len(variants)
-            for i, bits in enumerate(distinct_bits):
-                cache[("cols", 0, bits)] = merged[
-                    i * rows_per_variant : (i + 1) * rows_per_variant
-                ]
-
     def _forward_members(
         self,
         model: Sequential,
@@ -649,15 +603,25 @@ forward_ensemble` / :meth:`~repro.nn.layers.Conv2D.forward_ensemble`);
             model.eval()
             inputs = np.asarray(inputs)
             chunks = self._member_chunks()
+            # A resolution's shared prefix is dropped after its last chunk,
+            # so one resolution's activations and patch matrices are
+            # resident at a time (unless resolutions interleave).
+            last_chunk = {
+                self.activation_bits[members.start]: i for i, members in enumerate(chunks)
+            }
             outputs = []
             for start in range(0, inputs.shape[0], batch_size):
                 batch = inputs[start : start + batch_size]
                 cache: dict = {}
-                self._plan_batch(model, layer_stacks, batch, chunks, cache)
-                parts = [
-                    self._forward_members(model, layer_stacks, batch, members, cache)
-                    for members in chunks
-                ]
+                parts = []
+                for i, members in enumerate(chunks):
+                    parts.append(
+                        self._forward_members(model, layer_stacks, batch, members, cache)
+                    )
+                    bits = self.activation_bits[members.start]
+                    if last_chunk[bits] == i:
+                        for key in [key for key in cache if key[-1] == bits]:
+                            del cache[key]
                 outputs.append(
                     parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
                 )

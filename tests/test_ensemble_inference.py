@@ -240,6 +240,44 @@ class TestEnsembleEngineIdentity:
             assert record.accuracy == engine.evaluate(model, test_x, test_y).accuracy
             assert record.resolution_bits == bits
 
+    def test_returning_resolution_reuses_its_prefix(
+        self, trained_compact_lenet, fpv_stack, monkeypatch
+    ):
+        """[8, 4, 8] in chunks of one: the 8-bit prefix outlives the 4-bit chunk.
+
+        Each resolution's first-conv patch matrix is lowered once per batch
+        and freed only after that resolution's last chunk, so a prefix freed
+        early shows up as an extra lowering.
+        """
+        model, test_x, _ = trained_compact_lenet
+        lowered = []
+        original_lower = Conv2D.lower
+
+        def counting_lower(layer, inputs):
+            lowered.append(inputs.shape[0])
+            return original_lower(layer, inputs)
+
+        bits = [8, 4, 8]
+        seeds = [0, 1, 2]
+        batch_size = 64
+        monkeypatch.setattr(Conv2D, "lower", counting_lower)
+        engine = EnsembleInferenceEngine(
+            fpv_stack, seeds, activation_bits=bits, member_chunk=1
+        )
+        fused = engine.predict(model, test_x, batch_size=batch_size)
+        monkeypatch.undo()
+        n_batches = -(-test_x.shape[0] // batch_size)
+        assert len(lowered) == 2 * n_batches
+        reference = np.stack(
+            [
+                PhotonicInferenceEngine.from_stack(
+                    fpv_stack, activation_bits=member_bits, seed=seed
+                ).predict(model, test_x, batch_size=batch_size)
+                for member_bits, seed in zip(bits, seeds)
+            ]
+        )
+        np.testing.assert_array_equal(fused, reference)
+
     def test_covers_all_layer_kinds(self, rng):
         """BatchNorm/pool/dropout/flatten layers run identically in ensembles."""
         model = Sequential(

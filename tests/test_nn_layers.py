@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from repro.nn import (
     Flatten,
     MaxPool2D,
     ReLU,
+    Sequential,
     Sigmoid,
     Tanh,
 )
@@ -237,3 +240,62 @@ class TestActivationsAndRegularizers:
         layer.eval()
         out = layer.forward(np.ones((2, 4)))
         assert np.all(np.isfinite(out))
+
+
+def _every_kind_model() -> Sequential:
+    rng = np.random.default_rng(11)
+    return Sequential(
+        [
+            Conv2D(2, 4, kernel_size=3, padding=1, rng=rng),
+            BatchNorm(4),
+            ReLU(),
+            MaxPool2D(2),
+            Conv2D(4, 4, kernel_size=3, rng=rng),
+            Tanh(),
+            AvgPool2D(2),
+            Flatten(),
+            Dense(4, 6, rng=rng),
+            Sigmoid(),
+            Dense(6, 3, rng=rng),
+        ],
+        (2, 8, 8),
+        name="every-kind",
+    )
+
+
+def _backward_state(layer):
+    return getattr(layer, "_cache", None), getattr(layer, "_last_input", None)
+
+
+class TestBackwardCaches:
+    def test_eval_forward_keeps_no_backward_cache(self):
+        model = _every_kind_model()
+        x = np.random.default_rng(5).normal(size=(5, 2, 8, 8))
+        model.eval()
+        model.forward(x)
+        assert all(_backward_state(layer) == (None, None) for layer in model.layers)
+        # A training forward caches; a later eval forward drops the cache.
+        model.train()
+        model.forward(x)
+        assert any(_backward_state(layer) != (None, None) for layer in model.layers)
+        model.eval()
+        model.forward(x)
+        assert all(_backward_state(layer) == (None, None) for layer in model.layers)
+        with pytest.raises(RuntimeError, match="before forward"):
+            model.layers[0].backward(np.ones((5, 4, 8, 8)))
+
+    def test_training_forward_backward_bytes_pinned(self):
+        # Digest of the logits, the input gradient and every parameter
+        # gradient of one training step, recorded before backward caches
+        # became training-only.
+        model = _every_kind_model()
+        x = np.random.default_rng(5).normal(size=(5, 2, 8, 8))
+        grad = np.random.default_rng(6).normal(size=(5, 3))
+        digest = hashlib.sha256(model.forward(x).tobytes())
+        digest.update(model.backward(grad).tobytes())
+        for layer in model.layers:
+            for value in layer.gradients().values():
+                digest.update(value.tobytes())
+        assert digest.hexdigest() == (
+            "d3e484d076ee728689f559bbad8e20b249a132c52d42da4c16635884ac46c48d"
+        )

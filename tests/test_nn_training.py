@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import hashlib
+import pickle
+
 import numpy as np
 import pytest
 
@@ -28,6 +32,8 @@ from repro.nn import (
     stl10_synthetic,
 )
 from repro.nn.datasets import SIGN_MNIST_SPEC, STL10_SPEC
+from repro.nn.layers import Conv2D
+from repro.sim import simulate_model
 
 
 class TestLosses:
@@ -230,3 +236,103 @@ class TestModelZoo:
         model = build_model(2, compact=True)
         x = rng.random((3, 3, 16, 16))
         assert model.forward(x).shape == (3, 10)
+
+
+# sha256 over (name, dtype, shape, bytes) of every parameter array of each zoo
+# model at its default seed, in layer order; recorded from eager draws.
+ZOO_PARAMETER_DIGESTS = {
+    (1, False): "cfaa67fbc5b842c0b5b176e5f19065530229ac8fc144963770d56ee06a751efe",
+    (2, False): "a1c06fc7c84d9929ed7f4d788bce17f10c58223373b63bf8e79e19bbd49499d9",
+    (3, False): "c0ac446384a72aa2709d72fa0b5e66e50ceea2323fcde0d0c67c453e2ba4de5d",
+    (4, False): "9280667242f40ffcc80cf461eab587cce027f1a8be82e960e60101f09c4b029f",
+    (1, True): "88fd775ecc3effd75cfe0a96446d2852e4b37b3f5af808d2b4fa93a11f0ff8b5",
+    (2, True): "11b0f7fa96882c7425253d574a6d94f4b5e07f3243f1d68fb9d37d676c06ed6d",
+    (3, True): "8790b5c7908fa96cae9ce4faa13be57fbe3b68454fddecf3cb30ee188fceddf4",
+    (4, True): "c38444ee67197deab7e16a7fdcc7ff59078dad3272146236f17a21146f402e7f",
+}
+
+
+def _layers(model):
+    return getattr(model, "trunk", model).layers
+
+
+def _parameter_digest(model, dtype=None) -> str:
+    digest = hashlib.sha256()
+    for layer in _layers(model):
+        for name, param in layer.parameters().items():
+            if dtype is not None:
+                param = param.astype(dtype)
+            digest.update(name.encode())
+            digest.update(str(param.dtype).encode())
+            digest.update(str(param.shape).encode())
+            digest.update(param.tobytes())
+    return digest.hexdigest()
+
+
+def _undrawn(model) -> bool:
+    weighted = [layer for layer in _layers(model) if isinstance(layer, (Conv2D, Dense))]
+    return bool(weighted) and not any("weight" in vars(layer) for layer in weighted)
+
+
+class TestZooDeferredInit:
+    @pytest.mark.parametrize("index, compact", sorted(ZOO_PARAMETER_DIGESTS))
+    def test_parameters_match_pinned_digest(self, index, compact):
+        model = build_model(index, compact=compact)
+        assert _undrawn(model)
+        assert _parameter_digest(model) == ZOO_PARAMETER_DIGESTS[index, compact]
+        assert not _undrawn(model)
+
+    def test_geometry_queries_leave_full_models_undrawn(self, best_accelerator):
+        for index in (1, 2, 3, 4):
+            model = build_model(index)
+            model.workloads()
+            model.count_layers("conv")
+            assert model.n_parameters > 0
+            getattr(model, "trunk", model).summary()
+            simulate_model(best_accelerator, model)
+            assert _undrawn(model)
+
+    def test_geometric_parameter_count_matches_drawn_arrays(self):
+        model = build_model(2)
+        counted = model.n_parameters
+        drawn = sum(p.size for layer in model.layers for p in layer.parameters().values())
+        assert counted == drawn
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [copy.deepcopy, lambda model: pickle.loads(pickle.dumps(model))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_copies_of_undrawn_models_draw_pinned_bytes(self, duplicate):
+        original = build_model(2)
+        twin = duplicate(original)
+        assert _undrawn(original) and _undrawn(twin)
+        assert _parameter_digest(twin) == ZOO_PARAMETER_DIGESTS[2, False]
+        assert _undrawn(original)
+        assert _parameter_digest(original) == ZOO_PARAMETER_DIGESTS[2, False]
+
+    def test_astype_draws_before_casting(self):
+        model = build_model(1).astype("float32")
+        assert not _undrawn(model)
+        for layer in model.layers:
+            for array in (*layer.parameters().values(), *layer.gradients().values()):
+                assert array.dtype == np.float32
+        assert _parameter_digest(model) == _parameter_digest(build_model(1), np.float32)
+
+    def test_first_read_draws_the_whole_model(self):
+        model = build_model(1, compact=True)
+        _ = model.layers[-1].bias
+        assert not any(
+            "weight" not in vars(layer)
+            for layer in model.layers
+            if isinstance(layer, (Conv2D, Dense))
+        )
+        assert _parameter_digest(model) == ZOO_PARAMETER_DIGESTS[1, True]
+
+    @pytest.mark.parametrize("rng", [None, np.random.default_rng(4)], ids=["default", "generator"])
+    def test_plain_generator_layers_draw_eagerly(self, rng):
+        conv = Conv2D(2, 3, kernel_size=3, rng=rng)
+        dense = Dense(4, 5, rng=rng)
+        for layer in (conv, dense):
+            assert {"weight", "bias", "_grad_weight", "_grad_bias"} <= set(vars(layer))
+        assert not np.any(conv._grad_weight) and conv._grad_weight.shape == conv.weight.shape

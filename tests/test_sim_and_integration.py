@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.arch import CrossLightAccelerator
 from repro.baselines import DeapCnnAccelerator, HolyLightAccelerator
-from repro.nn import build_model
+from repro.nn import build_all_models, build_model
 from repro.sim import (
     accelerated_workloads,
+    compare_accelerators,
     default_accelerators,
     format_ratio,
     format_table,
@@ -100,6 +103,21 @@ class TestSimulator:
         small = simulate_model(best_accelerator, full_models[1])
         big = simulate_model(best_accelerator, full_models[4])
         assert big.latency_s > small.latency_s
+
+
+class TestSimulatorMemory:
+    def test_paper_comparison_never_draws_model_weights(self):
+        # The comparison reads only layer geometry, so the 43 M float64
+        # weights of the four full-size models (~345 MB, ~700 MB with their
+        # gradient buffers) must never be allocated.
+        tracemalloc.start()
+        try:
+            models = build_all_models()
+            compare_accelerators(models=models)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, f"{peak / 2**20:.1f} MiB traced"
 
 
 class TestFormatting:
