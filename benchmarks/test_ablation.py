@@ -8,13 +8,14 @@ latency, and the accuracy impact of uncompensated drift, each isolated.
 from __future__ import annotations
 
 from repro.experiments import ablation
+from repro.study import run_experiment
 
 
 def test_ablation_studies(benchmark):
     result = benchmark.pedantic(
         ablation.run, kwargs={"include_drift_accuracy": True}, rounds=1, iterations=1
     )
-    print("\n" + ablation.main())
+    print("\n" + run_experiment("ablation").to_text())
 
     # Wavelength reuse reduces laser power for FC-sized units.
     assert result.wavelength_reuse.saving_ratio > 1.5

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from repro.experiments import device_dse
+from repro.study import run_experiment
 
 
 def test_device_design_space_exploration(benchmark):
     result = benchmark(device_dse.run)
-    print("\n" + device_dse.main())
+    print("\n" + run_experiment("device_dse").to_text())
 
     # The exploration selects the paper's 400 nm / 800 nm design point.
     assert result.best.input_waveguide_width_nm == 400.0

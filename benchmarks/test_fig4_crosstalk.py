@@ -5,11 +5,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.experiments import fig4_thermal
+from repro.study import run_experiment
 
 
 def test_fig4_crosstalk_and_tuning_power(benchmark):
     result = benchmark(fig4_thermal.run)
-    print("\n" + fig4_thermal.main())
+    print("\n" + run_experiment("fig4").to_text())
 
     # Orange curve: phase crosstalk ratio decays monotonically with distance.
     assert np.all(np.diff(result.crosstalk_ratio) < 0)

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 from repro.experiments import fig6_design_space
+from repro.study import run_experiment
 
 
 def test_fig6_design_space(benchmark, models):
     result = benchmark.pedantic(
         fig6_design_space.run, kwargs={"models": models}, rounds=1, iterations=1
     )
-    print("\n" + fig6_design_space.main())
+    print("\n" + run_experiment("fig6").to_text())
 
     paper_point = result.point_for((20, 150, 100, 60))
     feasible = result.feasible_points

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from repro.experiments import fig7_power
+from repro.study import run_experiment
 
 
 def test_fig7_power_comparison(benchmark):
     rows = benchmark(fig7_power.run)
-    print("\n" + fig7_power.main())
+    print("\n" + run_experiment("fig7").to_text())
 
     power = {row.name: row.power_w for row in rows}
 

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 from repro.experiments import fig8_epb
+from repro.study import run_experiment
 
 
 def test_fig8_epb_per_model(benchmark, models):
     result = benchmark.pedantic(
         fig8_epb.run, kwargs={"models": models}, rounds=1, iterations=1
     )
-    print("\n" + fig8_epb.main())
+    print("\n" + run_experiment("fig8").to_text())
 
     assert len(result.accelerators) == 6
     assert len(result.models) == 4

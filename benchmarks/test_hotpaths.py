@@ -40,7 +40,12 @@ import numpy as np
 from repro.nn.datasets import sign_mnist_synthetic
 from repro.nn.quantization import quantize_array
 from repro.nn.zoo import build_model
-from repro.sim.noise import FPVDriftChannel, NoiseStack, QuantizationChannel
+from repro.sim.noise import (
+    FPVDriftChannel,
+    NoiseStack,
+    QuantizationChannel,
+    default_noise_stack,
+)
 from repro.sim.photonic_inference import (
     PhotonicInferenceEngine,
     ideal_model_accuracy,
@@ -53,14 +58,22 @@ CONV2D_SHAPE = (64, 32, 3, 3)
 RESIDUAL_DRIFT_NM = 0.5
 
 
+def _drift_engine() -> PhotonicInferenceEngine:
+    """16-bit quantize-then-drift engine at the benchmark's residual drift."""
+    return PhotonicInferenceEngine(
+        default_noise_stack(16, RESIDUAL_DRIFT_NM), activation_bits=16, seed=0
+    )
+
+
 def _seed_perturbed_weights(engine: PhotonicInferenceEngine, weights: np.ndarray) -> np.ndarray:
     """The seed (pre-vectorization) implementation: one MR call per element."""
-    quantized = quantize_array(weights, engine.resolution_bits)
+    quantization, drift = engine.noise_stack.channels
+    quantized = quantize_array(weights, quantization.bits)
     max_abs = float(np.max(np.abs(quantized)))
     normalised = np.abs(quantized) / max_abs
     errors = np.array(
         [
-            engine.mr.transmission_error_from_drift(float(v), engine.residual_drift_nm)
+            drift.mr.transmission_error_from_drift(float(v), drift.residual_drift_nm)
             for v in normalised.reshape(-1)
         ]
     ).reshape(normalised.shape)
@@ -72,20 +85,14 @@ def test_perturbed_weights_conv2d_tensor(benchmark):
     rng = np.random.default_rng(0)
     weights = rng.normal(size=CONV2D_SHAPE)
 
-    engine = PhotonicInferenceEngine(
-        resolution_bits=16, residual_drift_nm=RESIDUAL_DRIFT_NM, seed=0
-    )
+    engine = _drift_engine()
     result = benchmark(engine.perturbed_weights, weights)
     assert result.shape == CONV2D_SHAPE
 
     # Elementwise identity with the seed implementation (same seed, so the
     # random error signs are drawn identically).
-    vec_engine = PhotonicInferenceEngine(
-        resolution_bits=16, residual_drift_nm=RESIDUAL_DRIFT_NM, seed=0
-    )
-    ref_engine = PhotonicInferenceEngine(
-        resolution_bits=16, residual_drift_nm=RESIDUAL_DRIFT_NM, seed=0
-    )
+    vec_engine = _drift_engine()
+    ref_engine = _drift_engine()
     np.testing.assert_array_equal(
         vec_engine.perturbed_weights(weights), _seed_perturbed_weights(ref_engine, weights)
     )
@@ -191,9 +198,7 @@ def test_monte_carlo_accuracy_ensemble(benchmark):
     def per_seed_loop():
         records = []
         for seed in range(MONTE_CARLO_SEEDS):
-            engine = PhotonicInferenceEngine.from_stack(
-                stack, activation_bits=16, seed=seed
-            )
+            engine = PhotonicInferenceEngine(stack, activation_bits=16, seed=seed)
             records.append(
                 engine.evaluate(model, test_x, test_y, ideal_accuracy=ideal)
             )

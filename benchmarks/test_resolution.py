@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from repro.experiments import resolution_analysis
+from repro.study import run_experiment
 
 
 def test_resolution_analysis(benchmark):
     result = benchmark(resolution_analysis.run)
-    print("\n" + resolution_analysis.main())
+    print("\n" + run_experiment("resolution_analysis").to_text())
 
     # CrossLight sustains 16 bits at the paper's 15-MRs-per-bank operating
     # point; DEAP-CNN and HolyLight are limited to ~4 and ~2 bits.

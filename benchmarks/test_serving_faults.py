@@ -10,12 +10,13 @@ request of the lost batch.
 
 from __future__ import annotations
 
-from repro.experiments import serving_faults
+from repro.study import run_experiment
 
 
 def test_serving_faults_smoke(benchmark):
-    result = benchmark.pedantic(
-        serving_faults.run,
+    report = benchmark.pedantic(
+        run_experiment,
+        args=("serving_faults",),
         kwargs={
             "n_requests": 600,
             "mtbf_fractions": (0.25, 0.1),
@@ -26,7 +27,8 @@ def test_serving_faults_smoke(benchmark):
         rounds=1,
         iterations=1,
     )
-    print("\n" + serving_faults.main(result=result))
+    result = report.result
+    print("\n" + report.to_text())
 
     # Fault-free baseline: full availability, goodput == throughput.
     baseline = result.baseline

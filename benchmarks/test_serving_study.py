@@ -10,16 +10,19 @@ saturation probe brackets every accelerator's analytic capacity.
 from __future__ import annotations
 
 from repro.experiments import serving_study
+from repro.study import run_experiment
 
 
 def test_serving_study_smoke(benchmark):
-    result = benchmark.pedantic(
-        serving_study.run,
+    report = benchmark.pedantic(
+        run_experiment,
+        args=("serving_study",),
         kwargs={"max_batches": (1, 4, 16), "n_requests": 800},
         rounds=1,
         iterations=1,
     )
-    print("\n" + serving_study.main(["--requests", "800"], result=result))
+    result = report.result
+    print("\n" + report.to_text())
 
     # Batching frontier: monotone capacity/latency/energy on every design.
     for name in serving_study.ACCELERATOR_BUILDERS:

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from repro.experiments import table1_models
+from repro.study import run_experiment
 
 
 def test_table1_models(benchmark):
     rows = benchmark(table1_models.run)
-    print("\n" + table1_models.main())
+    print("\n" + run_experiment("table1_models").to_text())
 
     assert [r.index for r in rows] == [1, 2, 3, 4]
     for row in rows:

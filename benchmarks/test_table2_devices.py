@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from repro.experiments import table2_devices
+from repro.study import run_experiment
 
 
 def test_table2_devices(benchmark):
     rows = benchmark(table2_devices.run)
-    print("\n" + table2_devices.main())
+    print("\n" + run_experiment("table2_devices").to_text())
 
     assert len(rows) == 5
     for row in rows:

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 from repro.experiments import table3_summary
+from repro.study import run_experiment
 
 
 def test_table3_summary(benchmark, models):
     result = benchmark.pedantic(
         table3_summary.run, kwargs={"models": models}, rounds=1, iterations=1
     )
-    print("\n" + table3_summary.main())
+    print("\n" + run_experiment("table3_summary").to_text())
 
     # The reproduced table contains every platform of the paper's Table III.
     names = {row.name for row in result.rows}

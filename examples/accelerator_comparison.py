@@ -12,17 +12,18 @@ Run with:  python examples/accelerator_comparison.py
 from __future__ import annotations
 
 from repro.baselines import ELECTRONIC_PLATFORMS
-from repro.experiments import fig7_power, fig8_epb, table3_summary
+from repro.study import run_experiment
 
 
 def main() -> None:
-    print(fig7_power.main())
+    print(run_experiment("fig7").to_text())
     print()
-    print(fig8_epb.main())
+    print(run_experiment("fig8").to_text())
     print()
-    print(table3_summary.main())
+    table3 = run_experiment("table3_summary")
+    print(table3.to_text())
 
-    result = table3_summary.run()
+    result = table3.result
     best = result.row_for("Cross_opt_TED")
     print("\nHeadline comparison (Cross_opt_TED vs the rest):")
     print(

@@ -20,15 +20,15 @@ Run with:  python examples/thermal_tuning_study.py
 from __future__ import annotations
 
 from repro.devices import CONVENTIONAL_MR, OPTIMIZED_MR
-from repro.experiments import device_dse, fig4_thermal
 from repro.tuning import ConventionalTOTuningPolicy, HybridTuningPolicy
 from repro.sim import format_table
+from repro.study import run_experiment
 from repro.variations import HeatSolver1D, fit_decay_length_um
 
 
 def main() -> None:
     # 1. Device design-space exploration.
-    print(device_dse.main(max_rows=6))
+    print(run_experiment("device_dse", max_rows=6).to_text())
 
     # 2. Heat-solver calibration of the thermal-crosstalk decay length.
     solver = HeatSolver1D()
@@ -40,7 +40,7 @@ def main() -> None:
 
     # 3. Fig. 4 sweep: tuning power vs MR spacing, with and without TED.
     print()
-    print(fig4_thermal.main())
+    print(run_experiment("fig4").to_text())
 
     # 4. Hybrid tuning plans for a 15-MR bank under each variant's policy.
     print("\nPer-bank tuning plans (15 MRs):")

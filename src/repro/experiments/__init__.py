@@ -10,9 +10,13 @@ single front door is the ``repro`` CLI (``python -m repro``)::
     repro run fig5 --json       # structured StudyReport
     repro run --all --out out/  # full paper regeneration manifest
 
-Each module still exposes ``run()`` returning structured result objects
-(used by the tests and benchmarks) and a legacy ``main(argv=None) -> str``
-shim returning the text report via the registry path.
+Each module also exposes ``run()`` returning structured result objects
+(used by the tests and benchmarks).  Programmatic callers that want the
+rendered report use :func:`repro.study.run_experiment`::
+
+    from repro.study import run_experiment
+
+    print(run_experiment("fig7").to_text())
 
 Driver modules are imported lazily: ``from repro.experiments import
 serving_study`` works as before, but ``import repro.experiments`` alone no

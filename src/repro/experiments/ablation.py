@@ -54,7 +54,6 @@ from repro.study import (
     backend_field,
     experiment,
     precision_field,
-    run_main,
 )
 
 
@@ -398,27 +397,3 @@ def _study(config: AblationConfig, ctx: RunContext) -> tuple[AblationResult, str
         backend=config.backend,
     )
     return result, _render(result)
-
-
-def main(
-    argv: list[str] | bool | None = None, include_fpv_monte_carlo: bool | None = None
-) -> str:
-    """Render all ablation studies as text (legacy driver shim).
-
-    The FPV Monte-Carlo study trains a second model and runs two 8-seed
-    Monte-Carlo sweeps, so it is opt-in (``--include-fpv-monte-carlo`` on
-    the command line).  The pre-registry signature
-    ``main(include_fpv_monte_carlo=...)`` keeps working: a bare bool as the
-    first positional argument is treated as ``include_fpv_monte_carlo``.
-    """
-    if isinstance(argv, bool):
-        argv, include_fpv_monte_carlo = None, argv
-    return run_main(
-        "ablation", argv, {"include_fpv_monte_carlo": include_fpv_monte_carlo}
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation helper
-    import sys
-
-    print(main(include_fpv_monte_carlo="--fpv" in sys.argv[1:]))

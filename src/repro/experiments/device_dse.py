@@ -23,7 +23,7 @@ from repro.variations.design_space import (
 )
 from repro.variations.fpv import expected_fpv_drift_nm
 from repro.sim.results import format_table
-from repro.study import RunContext, StudyConfig, experiment, run_main
+from repro.study import RunContext, StudyConfig, experiment
 
 
 @dataclass(frozen=True)
@@ -103,18 +103,3 @@ def _study(config: DeviceDSEConfig, ctx: RunContext) -> tuple[DeviceDSEResult, s
     """Reproduce Section IV.A: the waveguide-width FPV-drift exploration."""
     result = run()
     return result, _render(result, max_rows=config.max_rows)
-
-
-def main(argv: list[str] | None = None, max_rows: int | None = None) -> str:
-    """Render the exploration results as text (legacy driver shim).
-
-    The pre-registry signature ``main(max_rows=12)`` keeps working: a bare
-    int as the first positional argument is treated as ``max_rows``.
-    """
-    if isinstance(argv, int) and not isinstance(argv, bool):
-        argv, max_rows = None, argv
-    return run_main("device_dse", argv, {"max_rows": max_rows})
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation helper
-    print(main())

@@ -27,7 +27,7 @@ from repro.tuning.ted import tuning_power_vs_pitch
 from repro.variations.heat_solver import fit_decay_length_um
 from repro.variations.thermal import ThermalCrosstalkModel
 from repro.sim.results import format_table
-from repro.study import RunContext, StudyConfig, experiment, run_main
+from repro.study import RunContext, StudyConfig, experiment
 from dataclasses import field
 
 #: MR-pair distances swept (um), matching the granularity of the paper's plot.
@@ -148,12 +148,3 @@ def _study(config: Fig4Config, ctx: RunContext) -> tuple[Fig4Result, str]:
         use_heat_solver_calibration=config.use_heat_solver_calibration,
     )
     return result, _render(result)
-
-
-def main(argv: list[str] | None = None) -> str:
-    """Render the Fig. 4 series as text (legacy driver shim)."""
-    return run_main("fig4", argv)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation helper
-    print(main())

@@ -51,7 +51,6 @@ from repro.study import (
     backend_field,
     experiment,
     precision_field,
-    run_main,
 )
 
 #: Resolution sweep of the paper's Fig. 5.
@@ -302,12 +301,3 @@ def _study(config: Fig5Config, ctx: RunContext) -> tuple[list[AccuracyCurve], st
         backend=config.backend,
     )
     return curves, _render(curves)
-
-
-def main(argv: list[str] | None = None) -> str:
-    """Render the Fig. 5 curves as text (legacy driver shim)."""
-    return run_main("fig5", argv)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation helper
-    print(main())

@@ -39,7 +39,6 @@ from repro.study import (
     backend_field,
     experiment,
     precision_field,
-    run_main,
 )
 
 
@@ -265,23 +264,3 @@ def _study(
         backend=config.backend,
     )
     return result, _render(result)
-
-
-def main(argv: list[str] | None = None, include_accuracy: bool | None = None) -> str:
-    """Render the resolution analysis as text (legacy driver shim).
-
-    The accuracy study trains a model and runs an ensemble evaluation, so it
-    is opt-in (``--include-accuracy`` on the command line).  The
-    pre-registry signature ``main(include_accuracy=...)`` keeps working: a
-    bare bool as the first positional argument is treated as
-    ``include_accuracy``.
-    """
-    if isinstance(argv, bool):
-        argv, include_accuracy = None, argv
-    return run_main("resolution_analysis", argv, {"include_accuracy": include_accuracy})
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation helper
-    import sys
-
-    print(main(include_accuracy="--accuracy" in sys.argv[1:]))

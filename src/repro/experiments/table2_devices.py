@@ -19,7 +19,7 @@ from repro.devices.constants import (
     VCSEL,
 )
 from repro.sim.results import format_table
-from repro.study import RunContext, StudyConfig, experiment, run_main
+from repro.study import RunContext, StudyConfig, experiment
 
 
 @dataclass(frozen=True)
@@ -98,12 +98,3 @@ def _study(config: Table2Config, ctx: RunContext) -> tuple[list[DeviceRow], str]
     """Reproduce Table II: the device latency/power values the paper tabulates."""
     rows = run()
     return rows, _render(rows)
-
-
-def main(argv: list[str] | None = None) -> str:
-    """Render the reproduced Table II as text (legacy driver shim)."""
-    return run_main("table2_devices", argv)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation helper
-    print(main())

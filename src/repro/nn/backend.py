@@ -137,8 +137,8 @@ def resolve_precision(spec) -> PrecisionPolicy:
     """Coerce a policy spec (policy, name, or dtype) into a PrecisionPolicy.
 
     Accepts a :class:`PrecisionPolicy`, a policy name (``"float64"`` /
-    ``"float32"``), a numpy dtype (the back-compat ``dtype=`` spelling of
-    the ensemble engine), or ``None`` (the exact default).
+    ``"float32"``), a numpy dtype (``numpy.float32`` names the float32
+    policy), or ``None`` (the exact default).
     """
     if spec is None:
         return FLOAT64_EXACT

@@ -900,7 +900,7 @@ def serve_trace(
         functional = {name: (model, inputs)}
         stack = noise_stack if noise_stack is not None else NoiseStack(())
         engines = [
-            PhotonicInferenceEngine.from_stack(
+            PhotonicInferenceEngine(
                 stack, activation_bits=activation_bits, seed=seed + worker_id
             )
             for worker_id in range(n_workers)

@@ -33,18 +33,16 @@ stateless between calls (randomness comes from the generator passed to
 dataclasses), which lets Monte-Carlo sweeps fan them out across a process
 pool via :func:`repro.sim.sweep.run_sweep`.
 
-They are also **ensemble-vectorized**: every built-in channel (and any
-stack of them) evaluates E independent noise realisations of one weight
-tensor in a single fused pass -- ``apply_many(weights, rngs)`` returns an
+They are also **ensemble-aware**: ``apply_many(weights, rngs)`` returns an
 ``(E, *weights.shape)`` stack whose member ``e`` is elementwise identical to
-``apply(weights, rngs[e])``, and ``apply_stacked`` maps an already-stacked
-ensemble through the channel (the composition primitive
-:class:`NoiseStack` and the ensemble inference engine build on).  Random
-draws loop over members so each generator sees its sequential stream; the
-heavy device physics (Lorentzians, phi-matrix mixing, quantization grids)
-runs once over the whole stack.  Third-party channels that only implement
-``apply`` compose transparently through a per-member fallback loop in
-:func:`ensemble_apply`.
+``apply(weights, rngs[e])``.  Each built-in channel's ``apply_fanout``
+evaluates the member-independent work once on the shared base tensor --
+deterministic channels (quantization, crosstalk mixing) stay shared, the
+drift channels compute their normalised magnitudes and Lorentzian profiles
+once and draw per member -- and after a :class:`NoiseStack` forks into
+per-member tensors every later channel runs its own ``apply`` once per
+member (:func:`ensemble_apply`), which is also how third-party channels
+that only implement ``apply`` compose.
 
 Conventions
 -----------
@@ -68,7 +66,7 @@ import numpy as np
 from repro.crosstalk.interchannel import bank_crosstalk_matrix
 from repro.devices.constants import OPTIMIZED_MR, MRDesignParameters
 from repro.devices.mr import MicroringResonator
-from repro.nn.quantization import quantize_array, quantize_array_stack
+from repro.nn.quantization import quantize_array
 from repro.utils.validation import check_non_negative, check_positive, check_positive_int
 from repro.variations.fpv import (
     ProcessVariationModel,
@@ -117,54 +115,39 @@ def ensemble_apply(
     """Apply ``channel`` to every member of a stacked ensemble.
 
     ``stacked`` has shape ``(E, *shape)`` with ``E == len(rngs)``: member
-    ``e``'s weight tensor is ``stacked[e]`` and is perturbed with ``rngs[e]``.
-    Channels providing a vectorized ``apply_stacked`` (all built-ins) process
-    the whole stack in fused array operations; any other object satisfying
-    the :class:`NoiseChannel` protocol falls back to a per-member loop of
-    :meth:`~NoiseChannel.apply`, so third-party channels compose with the
-    ensemble inference path unchanged.
-
-    Either way the output is elementwise identical to the per-member loop:
-    member ``e`` sees exactly the weights, arithmetic, and random draws it
-    would see under ``channel.apply(stacked[e], rngs[e])``.
+    ``e``'s weight tensor is ``stacked[e]`` and is perturbed with ``rngs[e]``
+    through ``channel.apply`` -- the same call, weights and random draws the
+    member would see on its own.
     """
-    vectorized = getattr(channel, "apply_stacked", None)
-    if vectorized is not None:
-        return vectorized(stacked, rngs)
     return np.stack(
         [np.asarray(channel.apply(stacked[e], rngs[e]), dtype=float) for e in range(len(rngs))]
     )
 
 
 class _EnsembleChannelMixin:
-    """Vectorized many-seed evaluation shared by the built-in channels.
+    """Many-seed evaluation shared by the built-in channels.
 
-    Sub-classes implement ``apply_stacked(stacked, rngs)`` mapping an
-    ``(E, *shape)`` stack of per-member weight tensors to the perturbed
-    ``(E, *shape)`` stack; this mixin derives the user-facing
-    :meth:`apply_many`, which perturbs one shared base tensor under ``E``
+    :meth:`apply_many` perturbs one shared base tensor under ``E``
     independent generators (the Monte-Carlo "many wafer draws of one trained
-    model" shape).
+    model" shape) through :meth:`apply_fanout`.
 
-    Channels may additionally override :meth:`apply_fanout`, which receives
-    the still-shared base tensor and may return either a *base-shaped* array
-    (the channel is deterministic and its output remains common to every
-    member -- quantization and the crosstalk mixers do this, so one
-    evaluation serves all E members) or an ``(E, *shape)`` stack (the
-    channel consumes randomness and forks the ensemble; the drift channels
-    do this while still computing their member-independent device physics --
-    normalised magnitudes, Lorentzian error profiles -- exactly once).  A
-    channel must only return a base-shaped array if ``apply`` ignores the
-    generator entirely; the default forks immediately, which is always
-    correct.
+    :meth:`apply_fanout` receives the still-shared base tensor and may return
+    either a *base-shaped* array (the channel is deterministic and its output
+    remains common to every member -- quantization and the crosstalk mixers
+    do this, so one evaluation serves all E members) or an ``(E, *shape)``
+    stack (the channel consumes randomness and forks the ensemble; the drift
+    channels do this while still computing their member-independent device
+    physics -- normalised magnitudes, Lorentzian error profiles -- exactly
+    once).  A channel must only return a base-shaped array if ``apply``
+    ignores the generator entirely; the default forks immediately into one
+    ``apply`` per member, which is always correct.
     """
 
     def apply_fanout(
         self, base: np.ndarray, rngs: Sequence[np.random.Generator]
     ) -> np.ndarray:
         """Apply to a shared base tensor; may stay shared (see class docs)."""
-        stacked = np.broadcast_to(base, (len(rngs), *base.shape))
-        return self.apply_stacked(stacked, rngs)
+        return ensemble_apply(self, np.broadcast_to(base, (len(rngs), *base.shape)), rngs)
 
     def apply_many(
         self, weights: np.ndarray, rngs: Sequence[np.random.Generator]
@@ -226,46 +209,6 @@ def _recompose(weights: np.ndarray, magnitudes: np.ndarray, max_abs: float) -> n
     return (np.sign(weights).ravel() * magnitudes * max_abs).reshape(weights.shape)
 
 
-# -- stacked (ensemble-axis) variants of the helpers above -------------- #
-def _stacked_magnitudes(stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-member dynamic ranges and normalised magnitudes of an ensemble.
-
-    ``stacked`` is ``(E, *shape)``; returns ``(magnitudes, max_abs, zero)``
-    where ``magnitudes`` is ``(E, n)`` (flattened per member), ``max_abs`` is
-    the per-member dynamic range, and ``zero`` marks members whose tensor is
-    all zero (their magnitudes are passed through undivided, mirroring the
-    scalar helper's early return, and callers must restore them verbatim).
-    """
-    n_members = stacked.shape[0]
-    flat = np.abs(stacked.reshape(n_members, -1))
-    max_abs = np.max(flat, axis=1)
-    zero = max_abs == 0.0
-    safe = np.where(zero, 1.0, max_abs)
-    return flat / safe[:, None], max_abs, zero
-
-
-def _to_banks_stacked(flat: np.ndarray, bank_size: int) -> np.ndarray:
-    """Per-member :func:`_to_banks`: ``(E, n)`` -> ``(E, n_banks, bank_size)``."""
-    n_members, n = flat.shape
-    n_banks = -(-n // bank_size)
-    padded = np.zeros((n_members, n_banks * bank_size))
-    padded[:, :n] = flat
-    return padded.reshape(n_members, n_banks, bank_size)
-
-
-def _recompose_stacked(
-    stacked: np.ndarray, magnitudes: np.ndarray, max_abs: np.ndarray, zero: np.ndarray
-) -> np.ndarray:
-    """Per-member :func:`_recompose`, restoring all-zero members verbatim."""
-    n_members = stacked.shape[0]
-    flat = stacked.reshape(n_members, -1)
-    safe = np.where(zero, 1.0, max_abs)
-    out = (np.sign(flat) * magnitudes * safe[:, None]).reshape(stacked.shape)
-    if zero.any():
-        out[zero] = stacked[zero]
-    return out
-
-
 # ---------------------------------------------------------------------- #
 # Concrete channels
 # ---------------------------------------------------------------------- #
@@ -289,15 +232,6 @@ class QuantizationChannel(_EnsembleChannelMixin):
             return weights
         return quantize_array(weights, self.bits)
 
-    def apply_stacked(
-        self, stacked: np.ndarray, rngs: Sequence[np.random.Generator]
-    ) -> np.ndarray:
-        """Quantize every ensemble member to its own dynamic range at once."""
-        stacked = np.asarray(stacked, dtype=float)
-        if self.bits is None:
-            return stacked
-        return quantize_array_stack(stacked, self.bits)
-
     def apply_fanout(
         self, base: np.ndarray, rngs: Sequence[np.random.Generator]
     ) -> np.ndarray:
@@ -317,10 +251,8 @@ class ResidualDriftChannel(_EnsembleChannelMixin):
     Every ring is assumed to sit ``residual_drift_nm`` away from its
     calibrated resonance; the per-weight error magnitude follows the ring's
     Lorentzian sensitivity at that drift, and the error sign is random per
-    ring (a given ring drifts towards or away from its target).  This is the
-    PR-1 engine's drift model, verbatim: a stack of
-    ``[QuantizationChannel(bits), ResidualDriftChannel(drift)]`` reproduces
-    the legacy engine elementwise.
+    ring (a given ring drifts towards or away from its target).
+    :func:`default_noise_stack` pairs it with a quantization channel.
     """
 
     residual_drift_nm: float = 0.0
@@ -342,36 +274,6 @@ class ResidualDriftChannel(_EnsembleChannelMixin):
         )
         signs = rng.choice([-1.0, 1.0], size=errors.shape)
         return weights + signs * errors * max_abs
-
-    def apply_stacked(
-        self, stacked: np.ndarray, rngs: Sequence[np.random.Generator]
-    ) -> np.ndarray:
-        """One Lorentzian evaluation for all members; per-member error signs.
-
-        The random error signs are the only per-member sequential work --
-        each member's draw comes from its own generator in exactly the order
-        :meth:`apply` would consume it (all-zero members draw nothing, like
-        the scalar path's early return).
-        """
-        stacked = np.asarray(stacked, dtype=float)
-        if self.residual_drift_nm <= 0.0 or stacked[0].size == 0:
-            return stacked
-        n_members = stacked.shape[0]
-        max_abs = np.max(np.abs(stacked.reshape(n_members, -1)), axis=1)
-        zero = max_abs == 0.0
-        shaped = np.where(zero, 1.0, max_abs).reshape((n_members,) + (1,) * (stacked.ndim - 1))
-        normalised = np.abs(stacked) / shaped
-        errors = np.asarray(
-            self.mr.transmission_error_from_drift(normalised, self.residual_drift_nm)
-        )
-        signs = np.zeros_like(stacked)
-        for index, rng in enumerate(rngs):
-            if not zero[index]:
-                signs[index] = rng.choice([-1.0, 1.0], size=stacked.shape[1:])
-        out = stacked + signs * errors * shaped
-        if zero.any():
-            out[zero] = stacked[zero]
-        return out
 
     def apply_fanout(
         self, base: np.ndarray, rngs: Sequence[np.random.Generator]
@@ -455,38 +357,6 @@ class FPVDriftChannel(_EnsembleChannelMixin):
         ideal = np.asarray(mr.realised_transmission(magnitudes, 0.0))
         perturbed = np.clip(magnitudes + (realised - ideal), 0.0, 1.0)
         return _recompose(weights, perturbed, max_abs)
-
-    def apply_stacked(
-        self, stacked: np.ndarray, rngs: Sequence[np.random.Generator]
-    ) -> np.ndarray:
-        """Sample every member's wafer draw, then one fused Lorentzian pass.
-
-        The banked drift sampling loops over members (each generator must
-        produce exactly the draws :meth:`apply` would consume), but the
-        expensive part -- mapping ``E x n_rings`` drifts through the ring's
-        realised-transmission Lorentzian -- happens in one vectorized call.
-        """
-        stacked = np.asarray(stacked, dtype=float)
-        sigma = self.sigma_nm
-        if sigma <= 0.0 or stacked[0].size == 0:
-            return stacked
-        magnitudes, max_abs, zero = _stacked_magnitudes(stacked)
-        n_members, n_rings = magnitudes.shape
-        drifts = np.zeros((n_members, n_rings))
-        for index, rng in enumerate(rngs):
-            if not zero[index]:
-                drifts[index] = sample_banked_drifts(
-                    rng,
-                    n_rings,
-                    sigma,
-                    bank_size=self.mrs_per_bank,
-                    bank_correlation=self.bank_correlation,
-                )
-        mr = MicroringResonator(design=self.design)
-        realised = np.asarray(mr.realised_transmission(magnitudes, drifts))
-        ideal = np.asarray(mr.realised_transmission(magnitudes, 0.0))
-        perturbed = np.clip(magnitudes + (realised - ideal), 0.0, 1.0)
-        return _recompose_stacked(stacked, perturbed, max_abs, zero)
 
     def apply_fanout(
         self, base: np.ndarray, rngs: Sequence[np.random.Generator]
@@ -586,30 +456,6 @@ class InterChannelCrosstalkChannel(_EnsembleChannelMixin):
         perturbed = np.clip(banks + noise, 0.0, 1.0)
         return _recompose(weights, _from_banks(perturbed, magnitudes.size), max_abs)
 
-    def apply_stacked(
-        self, stacked: np.ndarray, rngs: Sequence[np.random.Generator]
-    ) -> np.ndarray:
-        """Mix every member's banks through the phi-matrix in one matmul.
-
-        Deterministic channel: the stacked ``(E, n_banks, bank) @ phi``
-        product runs the same per-slice GEMM as the scalar path, so members
-        are elementwise identical to looping :meth:`apply`.
-        """
-        stacked = np.asarray(stacked, dtype=float)
-        rejection = 10.0 ** (-self.calibration_rejection_db / 10.0)
-        if rejection == 0.0 or stacked[0].size == 0:
-            return stacked
-        magnitudes, max_abs, zero = _stacked_magnitudes(stacked)
-        phi = bank_crosstalk_matrix(
-            self.mrs_per_bank, self.channel_spacing_nm, self.quality_factor
-        )
-        banks = _to_banks_stacked(magnitudes, self.mrs_per_bank)
-        noise = rejection * (banks @ phi)
-        perturbed = np.clip(banks + noise, 0.0, 1.0)
-        n_members, n = magnitudes.shape
-        unbanked = perturbed.reshape(n_members, -1)[:, :n]
-        return _recompose_stacked(stacked, unbanked, max_abs, zero)
-
     def apply_fanout(
         self, base: np.ndarray, rngs: Sequence[np.random.Generator]
     ) -> np.ndarray:
@@ -668,26 +514,6 @@ class ThermalCrosstalkChannel(_EnsembleChannelMixin):
         ideal = np.asarray(self.mr.realised_transmission(banks, 0.0))
         perturbed = np.clip(banks + (realised - ideal), 0.0, 1.0)
         return _recompose(weights, _from_banks(perturbed, magnitudes.size), max_abs)
-
-    def apply_stacked(
-        self, stacked: np.ndarray, rngs: Sequence[np.random.Generator]
-    ) -> np.ndarray:
-        """Leak every member's heater detunings in one stacked matmul."""
-        stacked = np.asarray(stacked, dtype=float)
-        if self.coupling_scale <= 0.0 or stacked[0].size == 0:
-            return stacked
-        magnitudes, max_abs, zero = _stacked_magnitudes(stacked)
-        coupling = self.model.crosstalk_matrix(self.mrs_per_bank, self.pitch_um)
-        off_diagonal = coupling - np.eye(self.mrs_per_bank)
-        banks = _to_banks_stacked(magnitudes, self.mrs_per_bank)
-        detunings = np.asarray(self.mr.detuning_for_transmission(banks))
-        leaked_nm = self.coupling_scale * (detunings @ off_diagonal)
-        realised = np.asarray(self.mr.realised_transmission(banks, leaked_nm))
-        ideal = np.asarray(self.mr.realised_transmission(banks, 0.0))
-        perturbed = np.clip(banks + (realised - ideal), 0.0, 1.0)
-        n_members, n = magnitudes.shape
-        unbanked = perturbed.reshape(n_members, -1)[:, :n]
-        return _recompose_stacked(stacked, unbanked, max_abs, zero)
 
     def apply_fanout(
         self, base: np.ndarray, rngs: Sequence[np.random.Generator]
@@ -752,27 +578,6 @@ class NoiseStack(_EnsembleChannelMixin):
             out = np.array(out, dtype=float)
         return out
 
-    def apply_stacked(
-        self, stacked: np.ndarray, rngs: Sequence[np.random.Generator]
-    ) -> np.ndarray:
-        """Thread a whole ensemble through every channel in order.
-
-        Member ``e`` sees exactly the channel sequence and random draws that
-        ``self.apply(stacked[e], rngs[e])`` would produce: each member owns
-        its generator, so interleaving members *within* a channel cannot
-        change any member's stream.  Channels without a vectorized
-        ``apply_stacked`` fall back to a per-member loop for that channel
-        only (see :func:`ensemble_apply`).
-        """
-        rngs = list(rngs)
-        source = np.asarray(stacked, dtype=float)
-        out = source
-        for channel in self.channels:
-            out = ensemble_apply(channel, out, rngs)
-        if np.may_share_memory(out, source):
-            out = np.array(out, dtype=float)
-        return out
-
     def apply_fanout(
         self, base: np.ndarray, rngs: Sequence[np.random.Generator]
     ) -> np.ndarray:
@@ -782,25 +587,20 @@ class NoiseStack(_EnsembleChannelMixin):
         mixing) runs *once* on the shared tensor instead of once per member;
         the ensemble forks to an ``(E, ...)`` stack at the first channel
         whose fanout returns per-member output (or at the first third-party
-        channel without a fanout, which must be assumed stochastic), and the
-        remaining channels run on the stack.
+        channel without a fanout, which must be assumed stochastic), and
+        every remaining channel runs its ``apply`` once per member.
         """
         rngs = list(rngs)
         out = np.asarray(base, dtype=float)
-        base_ndim = out.ndim
-        forked = False
+        forked_ndim = out.ndim + 1
         for channel in self.channels:
-            if forked:
-                out = ensemble_apply(channel, out, rngs)
-                continue
             fanout = getattr(channel, "apply_fanout", None)
-            if fanout is None:
-                stacked = np.broadcast_to(out, (len(rngs), *out.shape))
-                out = ensemble_apply(channel, stacked, rngs)
-                forked = True
+            if out.ndim == forked_ndim:
+                out = ensemble_apply(channel, out, rngs)
+            elif fanout is None:
+                out = ensemble_apply(channel, np.broadcast_to(out, (len(rngs), *out.shape)), rngs)
             else:
                 out = np.asarray(fanout(out, rngs), dtype=float)
-                forked = out.ndim == base_ndim + 1
         return out
 
     def describe(self) -> str:
@@ -814,12 +614,12 @@ def default_noise_stack(
     residual_drift_nm: float = 0.0,
     mr: MicroringResonator | None = None,
 ) -> NoiseStack:
-    """The engine's historical two-channel stack: quantize, then drift.
+    """The two-channel stack of the drift studies: quantize, then drift.
 
-    :class:`repro.sim.photonic_inference.PhotonicInferenceEngine` built with
-    the legacy ``(resolution_bits, residual_drift_nm)`` constructor is a thin
-    factory over exactly this stack; the output is elementwise-identical to
-    the pre-stack engine.
+    Pair it with ``activation_bits=resolution_bits`` on
+    :class:`repro.sim.photonic_inference.PhotonicInferenceEngine` to model an
+    accelerator whose weights and activations share one resolution and whose
+    rings sit ``residual_drift_nm`` off resonance.
     """
     check_positive_int("resolution_bits", resolution_bits)
     check_non_negative("residual_drift_nm", residual_drift_nm)

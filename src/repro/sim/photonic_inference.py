@@ -14,11 +14,9 @@ here runs a model's weights through a stack (and optionally quantizes the
 activations flowing between layers), so any combination of effects can be
 evaluated without touching the engine:
 
-* the legacy two-channel constructor
-  (``PhotonicInferenceEngine(resolution_bits=..., residual_drift_nm=...)``)
-  is a thin factory over :func:`repro.sim.noise.default_noise_stack` and
-  reproduces the pre-stack engine elementwise;
-* :meth:`PhotonicInferenceEngine.from_stack` accepts arbitrary stacks;
+* :class:`PhotonicInferenceEngine` runs one seeded realisation of any
+  stack (:func:`repro.sim.noise.default_noise_stack` is the quantize-then-
+  drift pair the drift studies use);
 * :class:`EnsembleInferenceEngine` / :func:`evaluate_ensemble` evaluate E
   perturbed realisations of one model *in fused forward passes*: weight
   stacks are sampled through the vectorized
@@ -26,7 +24,7 @@ evaluated without touching the engine:
   runs one stacked GEMM over the ``(E, ...)`` weight axis, and im2col patch
   matrices are computed once per input batch and shared across members --
   with chunking over the member and batch axes to bound peak memory and an
-  opt-in float32 compute mode.  At float64 the ensemble is elementwise
+  opt-in float32 ``precision``.  At float64 the ensemble is elementwise
   identical to evaluating the members one engine at a time;
 * :func:`monte_carlo_accuracy` runs seeded FPV/crosstalk trials on the
   ensemble path (``n_workers > 1`` spreads contiguous *seed chunks*, each
@@ -51,7 +49,6 @@ from collections import OrderedDict
 from collections.abc import Iterable, Sequence as SequenceABC
 from functools import partial
 
-from repro.devices.mr import MicroringResonator
 from repro.nn.backend import active_backend, get_backend, resolve_precision, use_backend
 from repro.nn.layers import BatchNorm, Conv2D, Dropout, Flatten, ReLU, Sigmoid, Tanh
 from repro.nn.model import Sequential
@@ -68,7 +65,7 @@ from repro.sim.noise import (
     default_noise_stack,
 )
 from repro.sim.sweep import plan_chunks, run_sweep
-from repro.utils.validation import check_non_negative, check_positive_int
+from repro.utils.validation import check_positive_int
 
 
 @dataclass(frozen=True)
@@ -94,6 +91,37 @@ class PhotonicInferenceResult:
         return self.ideal_accuracy - self.accuracy
 
 
+def _stack_result(
+    model: Sequential, stack: NoiseStack, accuracy: float, ideal_accuracy: float
+) -> PhotonicInferenceResult:
+    """The record of ``model`` evaluated under ``stack``.
+
+    A stack without weight quantization reports ``resolution_bits = 0``, the
+    documented "unquantized / float weights" sentinel (activation resolution
+    is tracked separately and does not quantize the imprinted weights).
+    """
+    bits = next(
+        (
+            channel.bits
+            for channel in stack
+            if isinstance(channel, QuantizationChannel) and channel.bits is not None
+        ),
+        0,
+    )
+    return PhotonicInferenceResult(
+        model=model.name,
+        resolution_bits=bits,
+        residual_drift_nm=sum(
+            channel.residual_drift_nm
+            for channel in stack
+            if isinstance(channel, ResidualDriftChannel)
+        ),
+        accuracy=float(accuracy),
+        ideal_accuracy=float(ideal_accuracy),
+        noise=stack.describe(),
+    )
+
+
 class PhotonicInferenceEngine:
     """Execute a trained model through a stack of photonic noise channels.
 
@@ -103,100 +131,31 @@ class PhotonicInferenceEngine:
 
     Parameters
     ----------
-    resolution_bits:
-        Legacy shorthand: weight/activation resolution of the accelerator
-        (16 for CrossLight, 4 for DEAP-CNN, ...).  Ignored when
-        ``noise_stack`` is given (pass a
-        :class:`~repro.sim.noise.QuantizationChannel` instead).
-    residual_drift_nm:
-        Legacy shorthand: uniform uncompensated MR resonance drift.  Ignored
-        when ``noise_stack`` is given (pass a
-        :class:`~repro.sim.noise.ResidualDriftChannel` instead).
-    mr:
-        Ring model used by the legacy drift shorthand.
+    noise_stack:
+        The :class:`~repro.sim.noise.NoiseStack` (or iterable of channels)
+        every layer's weights run through; weight resolution is a
+        :class:`~repro.sim.noise.QuantizationChannel` in it.
+    activation_bits:
+        Resolution of inter-layer activations; ``None`` keeps activations in
+        float.
     seed:
         Seed of the engine's random generator (drift error signs, FPV
         draws); a fixed seed replays an identical trial.
-    noise_stack:
-        Explicit :class:`~repro.sim.noise.NoiseStack` (or iterable of
-        channels) replacing the legacy two-parameter noise model.  Prefer
-        :meth:`from_stack` for new code.
-    activation_bits:
-        Resolution of inter-layer activations; ``None`` keeps activations in
-        float.  Defaults to ``resolution_bits`` for legacy construction and
-        to ``None`` for stack construction.
-
-    Notes
-    -----
-    Reaching into the legacy internals (``engine.resolution_bits`` /
-    ``engine.residual_drift_nm`` / ``engine.mr``) is deprecated in favour of
-    inspecting ``engine.noise_stack``; the attributes remain (derived from
-    the stack, no warning) so existing call sites keep working.
     """
 
     def __init__(
         self,
-        resolution_bits: int = 16,
-        residual_drift_nm: float = 0.0,
-        mr: MicroringResonator | None = None,
-        seed: int = 0,
-        *,
-        noise_stack: NoiseStack | None = None,
+        noise_stack: NoiseStack,
         activation_bits: int | None = None,
+        seed: int = 0,
     ) -> None:
-        if noise_stack is None:
-            check_positive_int("resolution_bits", resolution_bits)
-            check_non_negative("residual_drift_nm", residual_drift_nm)
-            mr = mr or MicroringResonator.optimized()
-            noise_stack = default_noise_stack(resolution_bits, residual_drift_nm, mr)
-            if activation_bits is None:
-                activation_bits = resolution_bits
-        elif not isinstance(noise_stack, NoiseStack):
+        if not isinstance(noise_stack, NoiseStack):
             noise_stack = NoiseStack(tuple(noise_stack))
         if activation_bits is not None:
             check_positive_int("activation_bits", activation_bits)
         self.noise_stack = noise_stack
         self.activation_bits = activation_bits
-        self.mr = mr if mr is not None else self._stack_mr(noise_stack)
-        self.resolution_bits = self._stack_resolution_bits(noise_stack, activation_bits)
-        self.residual_drift_nm = self._stack_residual_drift(noise_stack)
         self._rng = np.random.default_rng(seed)
-
-    @classmethod
-    def from_stack(
-        cls,
-        noise_stack: NoiseStack,
-        activation_bits: int | None = None,
-        seed: int = 0,
-    ) -> "PhotonicInferenceEngine":
-        """Engine over an explicit noise stack (the extension point)."""
-        return cls(noise_stack=noise_stack, activation_bits=activation_bits, seed=seed)
-
-    # -- legacy attribute derivation ----------------------------------- #
-    @staticmethod
-    def _stack_mr(stack: NoiseStack) -> MicroringResonator:
-        for channel in stack:
-            if isinstance(channel, ResidualDriftChannel):
-                return channel.mr
-        return MicroringResonator.optimized()
-
-    @staticmethod
-    def _stack_resolution_bits(stack: NoiseStack, activation_bits: int | None) -> int:
-        for channel in stack:
-            if isinstance(channel, QuantizationChannel) and channel.bits is not None:
-                return channel.bits
-        # No weight quantization in the stack: 0 is the documented
-        # "unquantized / float weights" sentinel (activation resolution is
-        # tracked separately and does not quantize the imprinted weights).
-        return 0
-
-    @staticmethod
-    def _stack_residual_drift(stack: NoiseStack) -> float:
-        return sum(
-            channel.residual_drift_nm
-            for channel in stack
-            if isinstance(channel, ResidualDriftChannel)
-        )
 
     # ------------------------------------------------------------------ #
     # Weight perturbation
@@ -255,14 +214,7 @@ class PhotonicInferenceEngine:
         accuracy = float(np.mean(predictions == np.asarray(labels, dtype=int)))
         if ideal_accuracy is None:
             ideal_accuracy = ideal_model_accuracy(model, inputs, labels, batch_size=batch_size)
-        return PhotonicInferenceResult(
-            model=model.name,
-            resolution_bits=self.resolution_bits,
-            residual_drift_nm=self.residual_drift_nm,
-            accuracy=accuracy,
-            ideal_accuracy=float(ideal_accuracy),
-            noise=self.noise_stack.describe(),
-        )
+        return _stack_result(model, self.noise_stack, accuracy, ideal_accuracy)
 
 
 # ---------------------------------------------------------------------- #
@@ -307,10 +259,10 @@ forward_ensemble` / :meth:`~repro.nn.layers.Conv2D.forward_ensemble`);
       merged mega-batch measured cache-hostile (pooling and batch-norm
       gathers), each per-member call being the exact scalar forward.
 
-    At ``dtype=float64`` (the default) every member's logits and accuracy
-    are elementwise identical to a sequential per-seed
-    :class:`PhotonicInferenceEngine` evaluation; ``dtype=np.float32`` is an
-    opt-in compute mode that halves peak memory at a small numerical
+    At ``precision="float64"`` (the default) every member's logits and
+    accuracy are elementwise identical to a sequential per-seed
+    :class:`PhotonicInferenceEngine` evaluation; ``precision="float32"`` is
+    an opt-in compute mode that halves peak memory at a small numerical
     tolerance.  ``member_chunk`` bounds how many members are resident at
     once (peak activation memory scales with ``member_chunk * batch_size``).
 
@@ -328,13 +280,10 @@ forward_ensemble` / :meth:`~repro.nn.layers.Conv2D.forward_ensemble`);
     activation_bits:
         Inter-layer activation resolution: one value for all members or a
         per-member sequence (``None`` keeps activations in float).
-    dtype:
-        Back-compat spelling of ``precision``: ``numpy.float64`` (exact) or
-        ``numpy.float32`` (memory-lean).
     precision:
         A :class:`~repro.nn.backend.PrecisionPolicy` (or its name,
         ``"float64"`` / ``"float32"``) selecting the compute precision and
-        its documented tolerance contract.  Takes precedence over ``dtype``.
+        its documented tolerance contract.
     member_chunk:
         Maximum members evaluated simultaneously; defaults to
         :data:`DEFAULT_MEMBER_CHUNK` so peak activation memory stays flat
@@ -352,7 +301,6 @@ forward_ensemble` / :meth:`~repro.nn.layers.Conv2D.forward_ensemble`);
         seeds,
         *,
         activation_bits=None,
-        dtype=None,
         precision=None,
         member_chunk: int | None = None,
         backend=None,
@@ -389,7 +337,7 @@ forward_ensemble` / :meth:`~repro.nn.layers.Conv2D.forward_ensemble`);
                 check_positive_int("activation_bits", bits)
         self.activation_bits = bits_list
 
-        self.precision = resolve_precision(precision if precision is not None else dtype)
+        self.precision = resolve_precision(precision)
         self._dtype = self.precision.dtype
         self._backend = backend
         if member_chunk is not None:
@@ -594,7 +542,7 @@ forward_ensemble` / :meth:`~repro.nn.layers.Conv2D.forward_ensemble`);
         """Logits of every ensemble member: shape ``(E, N, n_classes)``.
 
         Member ``e`` matches
-        ``PhotonicInferenceEngine.from_stack(stack_e, activation_bits_e,
+        ``PhotonicInferenceEngine(stack_e, activation_bits_e,
         seed_e).predict(model, inputs, batch_size)`` elementwise at float64.
         """
         check_positive_int("batch_size", batch_size)
@@ -647,21 +595,10 @@ forward_ensemble` / :meth:`~repro.nn.layers.Conv2D.forward_ensemble`);
         accuracies = np.mean(predictions == labels_array[np.newaxis, :], axis=1)
         if ideal_accuracy is None:
             ideal_accuracy = ideal_model_accuracy(model, inputs, labels, batch_size=batch_size)
-        records = []
-        for member, stack in enumerate(self.noise_stacks):
-            records.append(
-                PhotonicInferenceResult(
-                    model=model.name,
-                    resolution_bits=PhotonicInferenceEngine._stack_resolution_bits(
-                        stack, self.activation_bits[member]
-                    ),
-                    residual_drift_nm=PhotonicInferenceEngine._stack_residual_drift(stack),
-                    accuracy=float(accuracies[member]),
-                    ideal_accuracy=float(ideal_accuracy),
-                    noise=stack.describe(),
-                )
-            )
-        return tuple(records)
+        return tuple(
+            _stack_result(model, stack, accuracies[member], ideal_accuracy)
+            for member, stack in enumerate(self.noise_stacks)
+        )
 
 
 def evaluate_ensemble(
@@ -673,7 +610,6 @@ def evaluate_ensemble(
     *,
     activation_bits=None,
     batch_size: int = 64,
-    dtype=None,
     precision=None,
     member_chunk: int | None = None,
     backend=None,
@@ -692,7 +628,6 @@ def evaluate_ensemble(
         noise_stacks,
         seeds,
         activation_bits=activation_bits,
-        dtype=dtype,
         precision=precision,
         member_chunk=member_chunk,
         backend=backend,
@@ -924,7 +859,6 @@ def monte_carlo_accuracy(
     n_workers: int | None = None,
     ideal_accuracy: float | None = None,
     member_chunk: int | None = None,
-    dtype=None,
     precision=None,
     backend=None,
 ) -> MonteCarloAccuracy:
@@ -950,7 +884,8 @@ def monte_carlo_accuracy(
     model, inputs, labels:
         Trained model and labelled evaluation set.
     noise_stack:
-        The noise-channel stack each trial applies to the weights.
+        The :class:`~repro.sim.noise.NoiseStack` (or iterable of channels)
+        each trial applies to the weights.
     seeds:
         Either the number of trials (seeds ``0..n-1``) or an iterable of
         explicit seeds.
@@ -969,12 +904,10 @@ def monte_carlo_accuracy(
     member_chunk:
         Maximum seeds evaluated simultaneously per process (bounds peak
         memory; defaults to :data:`DEFAULT_MEMBER_CHUNK`).
-    dtype:
-        Back-compat spelling of ``precision``: ``numpy.float64`` (exact) or
-        ``numpy.float32`` (memory-lean, small numerical tolerance).
     precision:
         :class:`~repro.nn.backend.PrecisionPolicy` (or name) selecting the
-        compute precision; takes precedence over ``dtype``.
+        compute precision (``"float32"`` is memory-lean at a small numerical
+        tolerance).
     backend:
         Compute backend name (``"numpy"``/``"numba"``/``"auto"``) or
         instance; ``None`` uses the process-wide active backend.  Worker
@@ -987,6 +920,8 @@ def monte_carlo_accuracy(
         Per-seed records plus mean/std accuracy; deterministic for a fixed
         seed list regardless of ``n_workers`` or ``member_chunk``.
     """
+    if not isinstance(noise_stack, NoiseStack):
+        noise_stack = NoiseStack(tuple(noise_stack))
     if n_workers is not None:
         if isinstance(n_workers, bool) or not isinstance(n_workers, int):
             raise TypeError(f"n_workers must be an int or None, got {n_workers!r}")
@@ -999,7 +934,7 @@ def monte_carlo_accuracy(
         seed_list = tuple(int(seed) for seed in seeds)
         if not seed_list:
             raise ValueError("seeds must not be empty")
-    policy = resolve_precision(precision if precision is not None else dtype)
+    policy = resolve_precision(precision)
     ideal = (
         float(ideal_accuracy)
         if ideal_accuracy is not None

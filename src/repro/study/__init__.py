@@ -14,7 +14,7 @@ Programmatic use::
     from repro.study import run_experiment
 
     report = run_experiment("fig5", epochs=4)
-    print(report.to_text())            # byte-identical to the legacy main()
+    print(report.to_text())            # the rendered table/figure
     payload = report.to_json()         # schema-stable machine-readable form
 
 Registering a new experiment is ~30 lines in a driver module::
@@ -41,7 +41,7 @@ from repro.study.registry import (
     get_experiment,
 )
 from repro.study.report import SCHEMA_VERSION, StudyReport
-from repro.study.runner import RunContext, StudyRunner, run_experiment, run_main
+from repro.study.runner import RunContext, StudyRunner, run_experiment
 
 __all__ = [
     "EXPERIMENT_MODULES",
@@ -59,5 +59,4 @@ __all__ = [
     "get_experiment",
     "precision_field",
     "run_experiment",
-    "run_main",
 ]

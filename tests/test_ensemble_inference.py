@@ -1,8 +1,8 @@
-"""Tests for ensemble-vectorized inference (PR 3).
+"""Tests for ensemble-vectorized inference.
 
 The contract under test: evaluating E perturbed realisations of a model
-through the fused ensemble path -- stacked weight perturbation
-(``apply_many``/``apply_stacked``), stacked layer forwards, chunking over
+through the fused ensemble path -- shared-base weight perturbation
+(``apply_many``/``apply_fanout``), stacked layer forwards, chunking over
 members and batches -- is **elementwise identical** at float64 to running E
 sequential :class:`repro.sim.photonic_inference.PhotonicInferenceEngine`
 evaluations, for every built-in noise channel and for composed stacks.
@@ -91,7 +91,7 @@ class TestApplyManyIdentity:
 
     @pytest.mark.parametrize("channel", CHANNELS, ids=_member_ids)
     def test_apply_stacked_on_diverged_members(self, channel, rng):
-        """apply_stacked treats each member independently (own dynamic range)."""
+        """ensemble_apply treats each member independently (own dynamic range)."""
         members = np.stack(
             [rng.normal(size=(6, 5)), np.zeros((6, 5)), 3.0 * rng.normal(size=(6, 5))]
         )
@@ -115,7 +115,7 @@ class TestApplyManyIdentity:
         np.testing.assert_array_equal(fused, np.zeros((3, 4, 3)))
 
     def test_third_party_channel_falls_back_to_loop(self, rng):
-        """Channels without apply_stacked compose via the per-member loop."""
+        """Channels without apply_fanout compose via the per-member loop."""
 
         class JitterChannel:
             def apply(self, weights, rng):
@@ -170,7 +170,7 @@ class TestQuantizeArrayStack:
 def _sequential_logits(model, inputs, stack, seeds, activation_bits, batch_size=64):
     return np.stack(
         [
-            PhotonicInferenceEngine.from_stack(
+            PhotonicInferenceEngine(
                 stack, activation_bits=activation_bits, seed=seed
             ).predict(model, inputs, batch_size=batch_size)
             for seed in seeds
@@ -198,7 +198,7 @@ class TestEnsembleEngineIdentity:
             model, test_x, test_y, fpv_stack, seeds=6, activation_bits=8
         )
         for seed, record in zip(result.seeds, result.records):
-            engine = PhotonicInferenceEngine.from_stack(
+            engine = PhotonicInferenceEngine(
                 fpv_stack, activation_bits=8, seed=seed
             )
             reference = engine.evaluate(model, test_x, test_y)
@@ -214,7 +214,7 @@ class TestEnsembleEngineIdentity:
             model, test_x, test_y, drifts, resolution_bits=8, seed=3
         )
         for drift, record in zip(drifts, records):
-            engine = PhotonicInferenceEngine.from_stack(
+            engine = PhotonicInferenceEngine(
                 default_noise_stack(8, drift), activation_bits=8, seed=3
             )
             reference = engine.evaluate(model, test_x, test_y)
@@ -234,7 +234,7 @@ class TestEnsembleEngineIdentity:
             activation_bits=list(bits_sweep),
         )
         for bits, record in zip(bits_sweep, records):
-            engine = PhotonicInferenceEngine.from_stack(
+            engine = PhotonicInferenceEngine(
                 NoiseStack([QuantizationChannel(bits=bits)]), activation_bits=bits, seed=0
             )
             assert record.accuracy == engine.evaluate(model, test_x, test_y).accuracy
@@ -270,7 +270,7 @@ class TestEnsembleEngineIdentity:
         assert len(lowered) == 2 * n_batches
         reference = np.stack(
             [
-                PhotonicInferenceEngine.from_stack(
+                PhotonicInferenceEngine(
                     fpv_stack, activation_bits=member_bits, seed=seed
                 ).predict(model, test_x, batch_size=batch_size)
                 for member_bits, seed in zip(bits, seeds)
@@ -342,11 +342,11 @@ class TestChunkingAndDtype:
         )
         lean = monte_carlo_accuracy(
             model, test_x, test_y, fpv_stack, seeds=4, activation_bits=None,
-            dtype=np.float32,
+            precision="float32",
         )
         np.testing.assert_allclose(lean.accuracies, exact.accuracies, atol=0.05)
         engine = EnsembleInferenceEngine(
-            fpv_stack, [0, 1], activation_bits=None, dtype=np.float32
+            fpv_stack, [0, 1], activation_bits=None, precision="float32"
         )
         logits = engine.predict(model, test_x)
         assert logits.dtype == np.float32
@@ -425,11 +425,22 @@ class TestEngineValidation:
         assert engine.n_members == 2
         assert engine.noise_stacks[0] is engine.noise_stacks[1]
 
+    def test_monte_carlo_accepts_channel_iterable(self, trained_compact_lenet, fpv_stack):
+        model, test_x, test_y = trained_compact_lenet
+        from_channels = monte_carlo_accuracy(
+            model, test_x, test_y, list(fpv_stack), seeds=2, activation_bits=8
+        )
+        via_stack = monte_carlo_accuracy(
+            model, test_x, test_y, fpv_stack, seeds=2, activation_bits=8
+        )
+        assert from_channels == via_stack
+        assert from_channels.noise == fpv_stack.describe()
+
     def test_rejects_bad_dtype_and_empty_seeds(self, fpv_stack):
         with pytest.raises(ValueError):
             EnsembleInferenceEngine(fpv_stack, seeds=[])
         with pytest.raises(ValueError):
-            EnsembleInferenceEngine(fpv_stack, seeds=2, dtype=np.int32)
+            EnsembleInferenceEngine(fpv_stack, seeds=2, precision=np.int32)
 
     def test_layer_ensemble_shape_validation(self, rng):
         dense = Dense(4, 3, rng=rng)

@@ -21,6 +21,7 @@ from repro.experiments import (
     table2_devices,
     table3_summary,
 )
+from repro.study import run_experiment
 
 
 class TestTable1:
@@ -33,7 +34,7 @@ class TestTable1:
             assert row.parameter_error_percent < 5.0
 
     def test_main_renders(self):
-        text = table1_models.main()
+        text = run_experiment("table1_models").to_text()
         assert "Table I" in text and "lenet5" in text
 
 
@@ -46,7 +47,7 @@ class TestTable2:
         assert by_name["Photodetector"].latency == "5.8 ps"
 
     def test_main_renders(self):
-        assert "Table II" in table2_devices.main()
+        assert "Table II" in run_experiment("table2_devices").to_text()
 
 
 class TestFig4:
@@ -65,7 +66,7 @@ class TestFig4:
         assert 3.0 <= calibrated.optimal_pitch_um <= 8.0
 
     def test_main_renders(self):
-        assert "Fig. 4" in fig4_thermal.main()
+        assert "Fig. 4" in run_experiment("fig4").to_text()
 
 
 class TestFig5:
@@ -158,7 +159,7 @@ class TestFig7:
         assert rows["Cross_opt_TED"] > rows["Edge TPU"]
 
     def test_main_renders(self):
-        assert "Fig. 7" in fig7_power.main()
+        assert "Fig. 7" in run_experiment("fig7").to_text()
 
 
 class TestFig8AndTable3:
@@ -192,7 +193,7 @@ class TestFig8AndTable3:
         assert result.row_for("Cross_opt_TED").source == "simulated"
 
     def test_table3_main_renders(self):
-        text = table3_summary.main()
+        text = run_experiment("table3_summary").to_text()
         assert "Table III" in text and "Cross_opt_TED" in text
 
 
@@ -211,5 +212,5 @@ class TestDeviceDSEAndResolution:
         assert result.max_bank_size_for_16_bits >= 15
 
     def test_mains_render(self):
-        assert "IV.A" in device_dse.main()
-        assert "V.B" in resolution_analysis.main()
+        assert "IV.A" in run_experiment("device_dse").to_text()
+        assert "V.B" in run_experiment("resolution_analysis").to_text()

@@ -17,6 +17,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.devices import MicroringResonator
 from repro.devices.mr_bank import MRBank
+from repro.sim.noise import default_noise_stack
 from repro.sim.photonic_inference import PhotonicInferenceEngine
 
 weight_arrays = hnp.arrays(
@@ -165,26 +166,22 @@ class TestEngineEquivalence:
     def test_perturbed_weights_matches_seed_per_element_loop(self, weights, drift):
         from repro.nn.quantization import quantize_array
 
-        vec_engine = PhotonicInferenceEngine(
-            resolution_bits=8, residual_drift_nm=drift, seed=7
-        )
-        ref_engine = PhotonicInferenceEngine(
-            resolution_bits=8, residual_drift_nm=drift, seed=7
-        )
+        stack = default_noise_stack(resolution_bits=8, residual_drift_nm=drift)
+        vec_engine = PhotonicInferenceEngine(stack, activation_bits=8, seed=7)
+        ref_engine = PhotonicInferenceEngine(stack, activation_bits=8, seed=7)
         vectorized = vec_engine.perturbed_weights(weights)
 
         # The seed implementation, element by element.
-        quantized = quantize_array(weights, ref_engine.resolution_bits)
+        quantized = quantize_array(weights, 8)
         max_abs = float(np.max(np.abs(quantized)))
         if max_abs == 0.0:
             np.testing.assert_array_equal(vectorized, quantized)
             return
         normalised = np.abs(quantized) / max_abs
+        mr = MicroringResonator.optimized()
         errors = np.array(
             [
-                ref_engine.mr.transmission_error_from_drift(
-                    float(v), ref_engine.residual_drift_nm
-                )
+                mr.transmission_error_from_drift(float(v), drift)
                 for v in normalised.reshape(-1)
             ]
         ).reshape(normalised.shape)

@@ -65,30 +65,10 @@ class TestLegacyEquivalence:
     ):
         weights = np.random.default_rng(data_seed).normal(size=(7, 5))
         engine = PhotonicInferenceEngine(
-            resolution_bits=bits, residual_drift_nm=drift_nm, seed=sign_seed
+            default_noise_stack(bits, drift_nm), activation_bits=bits, seed=sign_seed
         )
         expected = _legacy_perturbed_weights(weights, bits, drift_nm, sign_seed)
         np.testing.assert_array_equal(engine.perturbed_weights(weights), expected)
-
-    def test_explicit_default_stack_matches_legacy_constructor(self, rng):
-        weights = rng.normal(size=(16, 9))
-        legacy = PhotonicInferenceEngine(resolution_bits=8, residual_drift_nm=0.7, seed=3)
-        stacked = PhotonicInferenceEngine.from_stack(
-            default_noise_stack(resolution_bits=8, residual_drift_nm=0.7),
-            activation_bits=8,
-            seed=3,
-        )
-        np.testing.assert_array_equal(
-            legacy.perturbed_weights(weights), stacked.perturbed_weights(weights)
-        )
-
-    def test_legacy_attributes_derived_from_stack(self):
-        engine = PhotonicInferenceEngine.from_stack(
-            default_noise_stack(resolution_bits=4, residual_drift_nm=1.5)
-        )
-        assert engine.resolution_bits == 4
-        assert engine.residual_drift_nm == pytest.approx(1.5)
-        assert isinstance(engine.mr, MicroringResonator)
 
 
 class TestChannelNoOps:
@@ -259,7 +239,7 @@ class TestMonteCarloAccuracy:
 
     def test_result_records_noise_description(self, trained_compact_lenet):
         model, test_x, test_y = trained_compact_lenet
-        engine = PhotonicInferenceEngine(resolution_bits=8, residual_drift_nm=0.3)
+        engine = PhotonicInferenceEngine(default_noise_stack(8, 0.3), activation_bits=8)
         result = engine.evaluate(model, test_x[:32], test_y[:32])
         assert "quantization(8 bit)" in result.noise
         assert "residual-drift(0.3 nm)" in result.noise

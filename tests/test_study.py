@@ -3,9 +3,9 @@
 Covers the API-redesign contract:
 
 * the registry names all 13 experiments and resolves legacy module names;
-* legacy ``run()``/``main()`` shims are equivalent to the registry path
-  (same text, byte for byte) for every experiment, at reduced scale where
-  a full run would train models for minutes;
+* ``repro run`` prints the registry text (byte for byte), and the heavy
+  drivers render at reduced scale where a full run would train models for
+  minutes;
 * ``StudyReport`` round-trips through dict/JSON losslessly;
 * config dataclasses validate on construction (hypothesis-driven);
 * ``import repro.experiments`` is lazy and stays within its time budget;
@@ -28,14 +28,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments import (
-    ablation,
     device_dse,
     fig4_thermal,
     fig5_resolution_accuracy,
     fig6_design_space,
     fig7_power,
     resolution_analysis,
-    serving_study,
     table1_models,
     table2_devices,
 )
@@ -66,7 +64,7 @@ ALL_NAMES = (
     "serving_faults",
 )
 
-#: Pre-redesign output of ``table2_devices.main()``, pinned verbatim: the
+#: Pre-redesign output of the Table II driver, pinned verbatim: the
 #: device constants are static, so this must never change.
 TABLE2_GOLDEN = """\
 Table II reproduction - optoelectronic device parameters
@@ -117,7 +115,7 @@ class TestRegistry:
 
 
 class TestEquivalenceCheap:
-    """Legacy main() == registry to_text(), full scale, cheap experiments."""
+    """``repro run <driver module>`` prints the registry text, full scale."""
 
     @pytest.mark.parametrize(
         "name, module",
@@ -130,33 +128,19 @@ class TestEquivalenceCheap:
             ("resolution_analysis", resolution_analysis),
         ],
     )
-    def test_main_matches_registry(self, name, module):
-        assert module.main() == run_experiment(name).to_text()
+    def test_main_matches_registry(self, name, module, capsys):
+        alias = module.__name__.rsplit(".", 1)[-1]
+        assert cli_main(["run", alias]) == 0
+        assert capsys.readouterr().out == run_experiment(name).to_text() + "\n"
 
     def test_table2_pinned_against_pre_redesign_output(self):
-        assert table2_devices.main() == TABLE2_GOLDEN
         assert run_experiment("table2_devices").to_text() == TABLE2_GOLDEN
-
-    def test_legacy_positional_shims(self):
-        # device_dse.main(max_rows) and fig6-style bool/int positionals.
-        assert device_dse.main(3) == run_experiment("device_dse", max_rows=3).to_text()
-        assert (
-            resolution_analysis.main(include_accuracy=False)
-            == run_experiment("resolution_analysis").to_text()
-        )
 
 
 class TestEquivalenceReduced:
-    """Legacy main(argv) == registry path at reduced scale, heavy drivers."""
+    """Heavy drivers render through the registry at reduced scale."""
 
     def test_fig5(self):
-        argv = [
-            "--model-indices", "1",
-            "--bits-sweep", "1", "16",
-            "--epochs", "2",
-            "--n-train", "60",
-            "--n-test", "40",
-        ]
         report = run_experiment(
             "fig5",
             model_indices=(1,),
@@ -165,35 +149,20 @@ class TestEquivalenceReduced:
             n_train=60,
             n_test=40,
         )
-        assert fig5_resolution_accuracy.main(argv) == report.to_text()
         assert "Fig. 5 reproduction" in report.to_text()
 
     def test_fig6(self):
         flat = (20, 150, 100, 60, 10, 100, 50, 30)
-        argv = ["--geometries", *map(str, flat), "--max-rows", "2"]
         report = run_experiment("fig6", geometries=flat, max_rows=2)
-        assert fig6_design_space.main(argv) == report.to_text()
-        # Legacy int-positional shim still renders (full sweep is memoized
-        # via build_all_models? no -- keep to the reduced sweep here).
         assert report.to_text().startswith("Fig. 6 reproduction")
 
     def test_serving_study(self):
         report = run_experiment("serving_study", n_requests=150)
-        assert serving_study.main(["--requests", "150"]) == report.to_text()
         assert "(fleet=1, ~150 requests/run, seed=0)" in report.to_text()
 
-    def test_serving_study_precomputed_result_render(self):
-        report = run_experiment("serving_study", n_requests=150)
-        text = serving_study.main(["--requests", "150"], result=report.result)
-        assert text == report.to_text()
-
     def test_ablation_without_accuracy(self):
-        argv = ["--no-include-drift-accuracy"]
         report = run_experiment("ablation", include_drift_accuracy=False)
-        assert ablation.main(argv) == report.to_text()
         assert "Ablation 4" not in report.to_text()
-        # Legacy bool-positional shim maps to include_fpv_monte_carlo.
-        assert ablation.main(False) == run_experiment("ablation").to_text()
 
 
 class TestStudyReport:

@@ -200,20 +200,24 @@ class TestSharedSubResultCaches:
     def test_ideal_accuracy_cached_across_engines(self):
         from repro.nn.datasets import sign_mnist_synthetic
         from repro.nn.zoo import build_model
+        from repro.sim.noise import default_noise_stack
         from repro.sim.photonic_inference import (
             _IDEAL_ACCURACY_CACHE,
             PhotonicInferenceEngine,
             clear_ideal_accuracy_cache,
         )
 
+        def engine(drift):
+            return PhotonicInferenceEngine(default_noise_stack(16, drift), activation_bits=16)
+
         train_x, train_y, test_x, test_y = sign_mnist_synthetic(n_train=40, n_test=30)
         model = build_model(1, compact=True)
         clear_ideal_accuracy_cache()
-        first = PhotonicInferenceEngine(residual_drift_nm=0.0).evaluate(
+        first = engine(0.0).evaluate(
             model, test_x, test_y
         )
         hits_before = _IDEAL_ACCURACY_CACHE.hits
-        second = PhotonicInferenceEngine(residual_drift_nm=0.1).evaluate(
+        second = engine(0.1).evaluate(
             model, test_x, test_y
         )
         assert _IDEAL_ACCURACY_CACHE.hits == hits_before + 1
@@ -221,18 +225,18 @@ class TestSharedSubResultCaches:
         # Content keying: a logically-equal copy of the dataset hits the
         # same entry (sweep workers unpickle fresh objects every trial).
         other_x = test_x.copy()
-        PhotonicInferenceEngine(residual_drift_nm=0.0).evaluate(model, other_x, test_y)
+        engine(0.0).evaluate(model, other_x, test_y)
         assert _IDEAL_ACCURACY_CACHE.hits == hits_before + 2
         # Retraining the cached model in place changes its weight fingerprint,
         # so the stale baseline is recomputed rather than reused.
         misses_before = _IDEAL_ACCURACY_CACHE.misses
         model.fit(train_x, train_y, epochs=1, batch_size=16, seed=1)
-        PhotonicInferenceEngine(residual_drift_nm=0.0).evaluate(model, test_x, test_y)
+        engine(0.0).evaluate(model, test_x, test_y)
         assert _IDEAL_ACCURACY_CACHE.misses == misses_before + 1
         # Mutating the dataset arrays in place (same objects) also misses.
         misses_before = _IDEAL_ACCURACY_CACHE.misses
         test_y[...] = (test_y + 1) % 10
-        result = PhotonicInferenceEngine(residual_drift_nm=0.0).evaluate(
+        result = engine(0.0).evaluate(
             model, test_x, test_y
         )
         assert _IDEAL_ACCURACY_CACHE.misses == misses_before + 1
